@@ -195,10 +195,10 @@ class RackRun:
         if delivered:
             self._record(req, now + self.rep_delay)
         if release is not None:
-            sreq, dst, n_reqr = release
+            sreq, dst, follow = release
             on_packet = self.servers[dst].on_packet
-            for _ in range(1 + n_reqr):
-                self._to_server(now, on_packet, sreq)
+            for m in (sreq, *follow):
+                self._to_server(now, on_packet, m)
 
     def _ev_client_rep(self, now: float, arg):
         req, src, load, _final = arg

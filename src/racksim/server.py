@@ -14,6 +14,18 @@ was reassigned and the event is void). A token is the event's only argument:
 tokens of worker `wid` are congruent to `wid` modulo the worker count, so the
 token also names its worker. Replies are emitted through a callback so the
 server never needs to know about network delays or the switch.
+
+One timer per uninterrupted run. A sliced request whose worker finds nothing
+else queued at a slice end is handed straight back to the same worker, so
+while the server's queues stay empty its slices run back to back. Under
+cfcfs, ps, mq-cfcfs and mq-ps with a cap, `_assign` then schedules a single
+timer for the end of the whole run instead of one per slice. The end time
+is summed slice by slice, exactly as the per-slice timers would have
+advanced the clock, so every float is the same. When a request queues
+behind busy workers, `_cut_runs` puts each such run back on per-slice
+timers from the slice in progress, and the run-end event goes stale. int3
+load reports, strict priority and WFQ read each slice's state, so they keep
+one timer per slice.
 """
 
 from __future__ import annotations
@@ -60,10 +72,15 @@ class Server:
         self.ctx_us = ctx_switch_us
         self.preempt_lat_us = preempt_latency_us
         self.int3 = tracking == INT3
+        self._coalesce = (self.cap is not None and not self.int3
+                          and code in (CFCFS, PS, MQ_CFCFS, MQ_PS))
+        self._runs = 0          # coalesced runs started since the last cut
 
         self.w_req: list = [None] * n_workers
         self.w_start = [0.0] * n_workers
-        self.w_q = [0.0] * n_workers             # quantum of the running slice
+        # quantum of the running slice; above the cap, a coalesced run, whose
+        # quantum is the request's whole remaining service
+        self.w_q = [0.0] * n_workers
         self.w_token = list(range(n_workers))    # token % n_workers == wid
         self.w_last: list = [None] * n_workers
         self.idle = list(range(n_workers - 1, -1, -1))
@@ -134,6 +151,8 @@ class Server:
             self._dispatch(now)
         elif self.code == PRIO:
             self._maybe_preempt(req.priority, now)
+        elif self._runs:
+            self._cut_runs(now)
 
     # -- queue disciplines: push at the tail, pick the next to serve -------------
     # A pick is only made while something is queued (in_system > busy, as
@@ -197,17 +216,59 @@ class Server:
     def _assign(self, wid: int, req, now: float) -> None:
         rem = req.remaining
         cap = self.cap
-        q = rem if (cap is None or rem <= cap) else cap
         start = now
         if self.ctx_us > 0.0 and self.w_last[wid] is not req:
             start = now + self.ctx_us
         self.w_req[wid] = req
         self.w_start[wid] = start
-        self.w_q[wid] = q
         self.busy += 1
         token = self.w_token[wid] + self.n_workers
         self.w_token[wid] = token
-        self.sim.schedule(start + q, self._on_worker, token)
+        if cap is None or rem <= cap:
+            end = start + rem
+            self.w_q[wid] = rem
+        elif self._coalesce and self.in_system == self.busy:
+            # nothing else queued: one timer for the whole run, its end
+            # summed slice by slice; `remaining -= rem` at the end leaves
+            # 0.0, as the last slice's `r - r` does
+            end = start
+            while rem > cap:
+                end += cap
+                rem -= cap
+            end += rem
+            self.w_q[wid] = req.remaining
+            self._runs += 1
+        else:
+            end = start + cap
+            self.w_q[wid] = cap
+        self.sim.schedule(end, self._on_worker, token)
+
+    def _cut_runs(self, now: float) -> None:
+        """A request queued behind busy workers: every coalesced run goes
+        back to per-slice timers from the slice in progress, with the state
+        the per-slice path would hold. A slice boundary at `now` has passed:
+        its timer, scheduled a whole slice before, fires ahead of an arrival
+        forwarded a network hop before."""
+        cap = self.cap
+        w_q = self.w_q
+        for wid in range(self.n_workers):
+            rem = w_q[wid]
+            if rem <= cap:
+                continue
+            start = self.w_start[wid]
+            while rem > cap and start + cap <= now:
+                start += cap
+                rem -= cap
+            self.w_req[wid].remaining = rem
+            self.w_start[wid] = start
+            if rem > cap:
+                w_q[wid] = cap
+                token = self.w_token[wid] + self.n_workers
+                self.w_token[wid] = token
+                self.sim.schedule(start + cap, self._on_worker, token)
+            else:
+                w_q[wid] = rem      # the last slice: the run-end timer stands
+        self._runs = 0
 
     def _on_worker(self, now: float, token: int) -> None:
         wid = token % self.n_workers
@@ -312,5 +373,6 @@ class Server:
         self.in_system = 0
         self.outstanding = [0] * self.n_classes
         self.rem_sum = [0.0] * self.n_classes
+        self._runs = 0
         self.failed = True
         return lost

@@ -367,7 +367,9 @@ class Switch:
         self.int2 = [[0, 0] for _ in range(n_classes)]   # (server, value) per class
         self.outstanding = [0] * n_servers               # jbsq +/- counts
         self.stalled: deque = deque()                    # jbsq FIFO of req_ids
-        self._stall_buf: dict = {}                       # req_id -> [req, n_reqr]
+        # req_id -> (first packet's request, [request of each buffered
+        # follow-on packet]); a group's members share one req_id
+        self._stall_buf: dict = {}
         self.failed = False
 
         self.elig: list[list[int]] = []
@@ -406,9 +408,15 @@ class Switch:
         self._rebuild_eligible()
 
     def fail(self):
-        """Switch goes dark: every packet is dropped until recover()."""
+        """Switch goes dark: every packet is dropped until recover().
+        Returns the requests held in the JBSQ stall buffer, each once."""
         self.failed = True
-        stalled = [self._stall_buf.pop(rid)[0] for rid in self.stalled if rid in self._stall_buf]
+        stalled = []
+        for rid in self.stalled:
+            sreq, follow = self._stall_buf.pop(rid)
+            for req in (sreq, *follow):
+                if req not in stalled:
+                    stalled.append(req)
         self.stalled.clear()
         return stalled
 
@@ -462,7 +470,8 @@ class Switch:
         return self._dispatch(req, dst, now)
 
     def _route_int2(self, req, now: float):
-        """The class's single tracked (server, minimum) pair decides."""
+        """The class's single tracked (server, minimum) pair decides, when
+        that server is eligible for the request's locality set."""
         if self.failed:
             self.mark_dropped(req)
             return None
@@ -470,7 +479,7 @@ class Switch:
         if not elig:
             raise SimulationError("no eligible server for locality class")
         dst = self.int2[req.tag][0]
-        if not self.active[dst]:
+        if dst not in elig:
             dst = elig[0]
         return self._dispatch(req, dst, now)
 
@@ -485,7 +494,7 @@ class Switch:
         dst = self._select(self.outstanding, elig, self.rnd_sampling, req.req_id)
         if dst is None:
             self.stalled.append(req.req_id)
-            self._stall_buf[req.req_id] = [req, 0]
+            self._stall_buf[req.req_id] = (req, [])
             return -1
         return self._dispatch(req, dst, now)
 
@@ -524,7 +533,7 @@ class Switch:
         rid = req.req_id
         buf = self._stall_buf.get(rid)
         if buf is not None:
-            buf[1] += 1
+            buf[1].append(req)
             return -1
         dst = self.reqtable.read(rid, req.slot)
         if dst < 0:
@@ -538,7 +547,9 @@ class Switch:
     def note_rep(self, req, src: int, load_report: float, final: bool, now: float):
         """Process a reply passing through: clear the mapping, update tracked
         load, release a stalled request if JBSQ. Returns (delivered, release)
-        where release is None or (req, dst, n_buffered_reqr)."""
+        where release is None or (req, dst, follow): `follow` holds, in
+        arrival order, the request of each follow-on packet buffered with
+        it, its own trailing packets and its group's other members alike."""
         if self.failed:
             self.mark_dropped(req)
             return False, None
@@ -568,16 +579,16 @@ class Switch:
                     self.outstanding[src] -= 1
                 if self.stalled:
                     rid = self.stalled.popleft()
-                    sreq, n_reqr = self._stall_buf.pop(rid)
+                    sreq, follow = self._stall_buf.pop(rid)
                     elig = self.elig[sreq.locality]
                     dst = self._select(self.outstanding, elig,
                                        self.rnd_sampling, rid)
                     if dst is None:
                         # released slot raced away; put it back at the head
                         self.stalled.appendleft(rid)
-                        self._stall_buf[rid] = [sreq, n_reqr]
+                        self._stall_buf[rid] = (sreq, follow)
                     else:
-                        release = (sreq, self._dispatch(sreq, dst, now), n_reqr)
+                        release = (sreq, self._dispatch(sreq, dst, now), follow)
         return True, release
 
     # -- spec-shaped packet API (unit tests, composition) ---------------------
@@ -606,13 +617,13 @@ class Switch:
                 return [("drop", -1, pkt)]
             out = [("client", pkt.dst, pkt)]
             if release is not None:
-                sreq, dst, n_reqr = release
+                sreq, dst, follow = release
                 out.append(("server", dst,
                             Packet(REQF, sreq.req_id, -1, dst, sreq.tag,
                                    sreq.priority, sreq.locality, 0.0, sreq)))
-                for _ in range(n_reqr):
+                for req in follow:
                     out.append(("server", dst,
-                                Packet(REQR, sreq.req_id, -1, dst, sreq.tag,
-                                       sreq.priority, sreq.locality, 0.0, sreq)))
+                                Packet(REQR, req.req_id, -1, dst, req.tag,
+                                       req.priority, req.locality, 0.0, req)))
             return out
         raise SimulationError(f"unknown packet type {pkt.ptype}")

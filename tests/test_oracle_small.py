@@ -12,7 +12,8 @@ from racksim.workload import Request
 from oracle_small import FWD_US, TieCollision, brute_force
 
 
-def run_sim(arrivals, services, n_servers, n_workers, intra, slice_us):
+def run_sim(arrivals, services, n_servers, n_workers, intra, slice_us,
+            threshold=None):
     """Scripted arrivals through the real switch and servers; returns the
     server-side completion time per request."""
     sim = EventLoop()
@@ -22,7 +23,8 @@ def run_sim(arrivals, services, n_servers, n_workers, intra, slice_us):
         done[req.req_id] = now
 
     servers = [
-        Server(s, n_workers, intra, sim, emit, n_classes=1, slice_us=slice_us)
+        Server(s, n_workers, intra, sim, emit, n_classes=1, slice_us=slice_us,
+               preempt_threshold_us=threshold)
         for s in range(n_servers)
     ]
     table = ReqTable(2, 64, [11, 22], ttl_us=None)
@@ -43,34 +45,54 @@ def run_sim(arrivals, services, n_servers, n_workers, intra, slice_us):
     return [done[i + 1] for i in range(len(arrivals))]
 
 
+WIDE_SEEDS = range(120, 360)
+
+
 def make_case(seed):
+    """Seeds below 120: up to 2 workers and 6 requests, cfcfs or ps. From
+    120 on: up to 4 workers and 10 requests, so a queued arrival often
+    interrupts several workers' uninterrupted slice runs at once, and a
+    third of the cases are cfcfs preempting at a threshold."""
     rnd = random.Random(seed)
+    wide = seed >= WIDE_SEEDS.start
     n_servers = rnd.choice([1, 2])
-    n_workers = rnd.choice([1, 2])
+    n_workers = rnd.randint(1, 4) if wide else rnd.choice([1, 2])
     intra = rnd.choice(["cfcfs", "ps"])
     slice_us = rnd.choice([7.5, 25.0])
-    n_req = rnd.randint(1, 6)
+    threshold = None
+    if wide and intra == "cfcfs" and rnd.random() < 2 / 3:
+        threshold = rnd.choice([7.5, 25.0])
+    n_req = rnd.randint(1, 10 if wide else 6)
     arrivals = []
     t = 0.0
     for _ in range(n_req):
         t += round(rnd.uniform(0.5, 40.0), 1)
         arrivals.append(t)
     services = [round(rnd.uniform(3.0, 120.0), 1) for _ in range(n_req)]
-    return arrivals, services, n_servers, n_workers, intra, slice_us
+    return arrivals, services, n_servers, n_workers, intra, slice_us, threshold
 
 
 def compare_case(seed):
-    """Returns "skip" on a tie collision, else asserts exact agreement."""
-    arrivals, services, n_servers, n_workers, intra, slice_us = make_case(seed)
+    """Returns "skip" on a tie collision, else asserts exact agreement.
+    cfcfs with a threshold is the brute-force ps replay sliced at the
+    threshold: both requeue an unfinished request at the tail."""
+    (arrivals, services, n_servers, n_workers, intra, slice_us,
+     threshold) = make_case(seed)
+    if threshold is not None:
+        discipline, quantum = "ps", threshold
+    else:
+        discipline, quantum = ("ps" if intra == "ps" else "fcfs"), slice_us
     try:
         expect = brute_force(arrivals, services, n_servers, n_workers,
-                             "ps" if intra == "ps" else "fcfs", slice_us)
+                             discipline, quantum)
     except TieCollision:
         return "skip"
-    got = run_sim(arrivals, services, n_servers, n_workers, intra, slice_us)
+    got = run_sim(arrivals, services, n_servers, n_workers, intra, slice_us,
+                  threshold)
     assert got == pytest.approx(expect, abs=1e-9), (
         f"seed {seed}: {list(zip(arrivals, services))} "
-        f"servers={n_servers} workers={n_workers} {intra}/{slice_us}")
+        f"servers={n_servers} workers={n_workers} {intra}/{slice_us} "
+        f"threshold={threshold}")
     return "ok"
 
 
@@ -78,6 +100,27 @@ def test_exact_completions_match_brute_force():
     results = [compare_case(seed) for seed in range(120)]
     checked = results.count("ok")
     assert checked >= 80, f"too many tie-skipped cases: {results.count('skip')}"
+
+
+def test_wide_cases_match_brute_force(monkeypatch):
+    """More workers and requests, and cfcfs with a threshold; also checks
+    that the cases interrupt two or more coalesced runs at one arrival."""
+    most = [0]
+    cut = Server._cut_runs
+
+    def counting_cut(self, now):
+        runs = sum(1 for q in self.w_q if q > self.cap)
+        most[0] = max(most[0], runs)
+        cut(self, now)
+
+    monkeypatch.setattr(Server, "_cut_runs", counting_cut)
+    results = {seed: compare_case(seed) for seed in WIDE_SEEDS}
+    ok = [seed for seed, r in results.items() if r == "ok"]
+    assert len(ok) >= 2 * len(WIDE_SEEDS) // 3, (
+        f"too many tie-skipped cases: {len(results) - len(ok)}")
+    assert sum(1 for seed in ok if make_case(seed)[6] is not None) >= 30
+    assert sum(1 for seed in ok if make_case(seed)[3] >= 3) >= 60
+    assert most[0] >= 2
 
 
 def test_hand_traced_ps_slice():

@@ -1,5 +1,7 @@
 """Server disciplines: hand-traced schedules, preemption, load reporting."""
 
+import random
+
 import pytest
 
 from racksim.engine import EventLoop, SimulationError
@@ -13,11 +15,26 @@ def make_req(rid, service, arrival=0.0, tag=0, priority=0, client=0,
                    group=group)
 
 
+class CountingLoop(EventLoop):
+    """An event loop that counts the worker timers it is asked to schedule."""
+
+    __slots__ = ("worker_timers",)
+
+    def __init__(self):
+        super().__init__()
+        self.worker_timers = 0
+
+    def schedule(self, time, fn, arg=None):
+        if getattr(fn, "__func__", None) is Server._on_worker:
+            self.worker_timers += 1
+        super().schedule(time, fn, arg)
+
+
 class Harness:
     """One server on its own event loop, completions collected in order."""
 
     def __init__(self, intra, n_workers=1, **kw):
-        self.sim = EventLoop()
+        self.sim = CountingLoop()
         self.done = []  # (req_id, completion_time, reported_load, final)
         self.server = Server(0, n_workers, intra, self.sim, self._emit, **kw)
 
@@ -68,6 +85,86 @@ def test_mq_ps_earliest_head_monopolizes_across_classes():
     # heads arbitrate by original arrival, so the requeued earlier head
     # keeps the worker; slicing interleaves only within a class
     assert h.run() and h.times() == [(1, 50.0), (2, 100.0)]
+
+
+# -- one timer per uninterrupted run ------------------------------------------------
+
+
+def test_lone_sliced_request_schedules_one_timer():
+    h = Harness("ps", slice_us=25.0)
+    h.send(make_req(1, 500.0, 0.3))
+    end = 0.3
+    for _ in range(20):
+        end += 25.0
+    assert h.run() and h.times() == [(1, end)]
+    assert h.sim.worker_timers == 1
+
+
+def test_arrival_cuts_a_run_at_its_current_slice_boundary():
+    # A runs [0,25] and [25,50] alone; B queues at 30, so A yields at 50,
+    # B runs [50,60], and A's last two slices end at 110
+    h = Harness("ps", slice_us=25.0)
+    h.send(make_req(1, 100.0, 0.0))
+    h.send(make_req(2, 10.0, 30.0))
+    assert h.run() and h.times() == [(2, 60.0), (1, 110.0)]
+    # A's run, its cut slice, B, then A's run from 60 to 110
+    assert h.sim.worker_timers == 4
+
+
+def test_cut_on_last_slice_keeps_the_run_end_timer():
+    # two arrivals queue during A's last slice [40,50]: the second finds A
+    # already on per-slice state and leaves it alone
+    h = Harness("cfcfs", preempt_threshold_us=20.0)
+    h.send(make_req(1, 50.0, 0.0))
+    h.send(make_req(2, 10.0, 45.0))
+    h.send(make_req(3, 10.0, 47.0))
+    assert h.run() and h.times() == [(1, 50.0), (2, 60.0), (3, 70.0)]
+    assert h.sim.worker_timers == 3
+
+
+def test_later_cut_leaves_a_run_in_its_last_slice_alone():
+    # Y queues at 42 and cuts A in its last slice [40,50]; Y then starts a
+    # run of its own at 44, and Z's arrival at 46 cuts Y but must keep A's
+    # run-end timer at 50
+    h = Harness("cfcfs", n_workers=2, preempt_threshold_us=20.0)
+    for rid, svc, at in ((1, 50.0, 0.0), (2, 3.0, 41.0), (3, 30.0, 42.0),
+                         (4, 5.0, 46.0)):
+        h.send(make_req(rid, svc, at))
+    assert h.run() and h.times() == [(2, 44.0), (1, 50.0), (4, 55.0),
+                                     (3, 74.0)]
+
+
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_coalesced_runs_give_the_per_slice_floats(n_workers):
+    # WFQ over a single client slices exactly as PS does, one timer per
+    # slice; its schedule is the reference, compared float for float
+    rnd = random.Random(n_workers)
+    jobs = []
+    t = 0.0
+    for rid in range(1, 301):
+        t += rnd.expovariate(1.0 / 45.0) / n_workers
+        jobs.append((rid, rnd.expovariate(1.0 / 30.0), t))
+    runs = {}
+    for intra, kw in (("ps", {}), ("wfq", {"wfq_weights": [1]})):
+        h = Harness(intra, n_workers=n_workers, slice_us=7.3, **kw)
+        for rid, svc, at in jobs:
+            h.send(make_req(rid, svc, at))
+        runs[intra] = (h.run(), h.sim.worker_timers)
+    (ps, ps_timers), (wfq, wfq_timers) = runs["ps"], runs["wfq"]
+    assert len(ps) == len(jobs) and ps == wfq
+    assert ps_timers < wfq_timers
+
+
+@pytest.mark.parametrize("intra, kw", [
+    ("ps", {"tracking": "int3"}),
+    ("priority", {"priorities": [0], "preempt_threshold_us": 25.0}),
+    ("wfq", {"wfq_weights": [1]}),
+])
+def test_per_slice_state_keeps_one_timer_per_slice(intra, kw):
+    h = Harness(intra, slice_us=25.0, **kw)
+    h.send(make_req(1, 500.0, 0.0))
+    assert h.run() and h.times() == [(1, 500.0)]
+    assert h.sim.worker_timers == 20
 
 
 # -- centralized FCFS ------------------------------------------------------------

@@ -325,6 +325,13 @@ class TestTracking:
         picks = {sw.route_reqf(make_req(r), 0.0) for r in range(1, 20)}
         assert picks == {3}
 
+    def test_int2_stays_inside_the_locality_set(self):
+        sw = make_switch("random", tracking=INT2, loc_sets=[[0, 1, 2, 3], [2, 3]])
+        assert sw.int2[0][0] == 0          # the tracked server is outside set 1
+        picks = {sw.route_reqf(make_req(r, locality=1), 0.0)
+                 for r in range(1, 20)}
+        assert picks == {2}
+
     def test_rep_loss_keeps_int1_counter_stale(self):
         sw = make_switch("shortest", tracking=INT1, rep_loss_prob=1.0)
         req = make_req(1)
@@ -349,11 +356,37 @@ class TestJBSQ:
 
         delivered, release = sw.note_rep(r1, 0, 0, final=True, now=1.0)
         assert delivered
-        sreq, dst, n_reqr = release
-        assert sreq is r3 and dst == 0 and n_reqr == 1
+        sreq, dst, follow = release
+        assert sreq is r3 and dst == 0 and follow == [r3]
         assert sw.reqtable.read(3) == 0
         _, release = sw.note_rep(r2, 1, 0, final=True, now=2.0)
         assert release[0] is r4
+
+    def test_stalled_group_keeps_each_members_packets(self):
+        sw = self.make()
+        sw.route_reqf(make_req(1), 0.0)
+        sw.route_reqf(make_req(2), 0.0)
+        g = Group(2)
+        first, second = (Request(3, 0, 0, 0, 0, 2, 10.0, 0.0, g)
+                         for _ in range(2))
+        assert sw.route_reqf(first, 0.0) == -1
+        for req in (first, second, second):
+            assert sw.route_reqr(req) == -1
+        _, (sreq, _, follow) = sw.note_rep(make_req(1), 0, 0, final=True,
+                                           now=1.0)
+        assert sreq is first and follow == [first, second, second]
+
+    def test_fail_returns_each_stalled_member_once(self):
+        sw = self.make()
+        sw.route_reqf(make_req(1), 0.0)
+        sw.route_reqf(make_req(2), 0.0)
+        g = Group(2)
+        first, second = (Request(3, 0, 0, 0, 0, 2, 10.0, 0.0, g)
+                         for _ in range(2))
+        sw.route_reqf(first, 0.0)
+        for req in (first, second, second):
+            sw.route_reqr(req)
+        assert sw.fail() == [first, second]
 
     def test_outstanding_never_exceeds_bound(self):
         sw = self.make()
