@@ -1,6 +1,6 @@
-"""Baseline dispatchers the switch-based scheduler is compared against:
-uniform/hash-random dispatch, idealized global single-queue policies, and the
-client-based power-of-k scheduler with per-client stale views.
+"""Dispatch choosers shared by the switch and the client-based baseline:
+uniform and hash-random picks, the power-of-k least-loaded chooser, and the
+per-client stale view that runs that chooser at the clients.
 """
 
 from __future__ import annotations
@@ -20,6 +20,47 @@ def hash_pick(req_id: int, eligible: list[int], salt: int) -> int:
     return eligible[hash((req_id, salt)) % len(eligible)]
 
 
+def least_of_k(loads, eligible: list[int], k: int, rnd: Random) -> int:
+    """Power-of-k-choices: k distinct eligible servers sampled uniformly,
+    least load wins, lowest index on ties. With k >= len(eligible) every
+    eligible server is a candidate and no random number is drawn."""
+    n = len(eligible)
+    if k >= n:
+        best = eligible[0]
+        bl = loads[best]
+        for s in eligible:
+            l = loads[s]
+            if l < bl:
+                bl = l
+                best = s
+        return best
+    if k == 2:
+        i = int(rnd.random() * n)
+        j = int(rnd.random() * (n - 1))
+        if j >= i:
+            j += 1
+        a = eligible[i]
+        b = eligible[j]
+        la = loads[a]
+        lb = loads[b]
+        if lb < la or (lb == la and b < a):
+            return b
+        return a
+    picked = []
+    while len(picked) < k:
+        s = eligible[int(rnd.random() * n)]
+        if s not in picked:
+            picked.append(s)
+    best = picked[0]
+    bl = loads[best]
+    for s in picked[1:]:
+        l = loads[s]
+        if l < bl or (l == bl and s < best):
+            bl = l
+            best = s
+    return best
+
+
 class ClientView:
     """One client's private load estimates.
 
@@ -35,49 +76,10 @@ class ClientView:
         self.estimates = [0] * n_servers
 
     def choose(self, eligible: list[int], k: int, rnd: Random) -> int:
-        est = self.estimates
-        n = len(eligible)
-        if k >= n:
-            best = eligible[0]
-            bl = est[best]
-            for s in eligible:
-                l = est[s]
-                if l < bl:
-                    bl = l
-                    best = s
-        elif k == 2:
-            i = int(rnd.random() * n)
-            j = int(rnd.random() * (n - 1))
-            if j >= i:
-                j += 1
-            a, b = eligible[i], eligible[j]
-            la, lb = est[a], est[b]
-            best = b if (lb < la or (lb == la and b < a)) else a
-        else:
-            picked: list[int] = []
-            while len(picked) < k:
-                s = eligible[int(rnd.random() * n)]
-                if s not in picked:
-                    picked.append(s)
-            best = picked[0]
-            bl = est[best]
-            for s in picked[1:]:
-                l = est[s]
-                if l < bl or (l == bl and s < best):
-                    bl = l
-                    best = s
-        est[best] += 1
+        best = least_of_k(self.estimates, eligible, k, rnd)
+        self.estimates[best] += 1
         return best
 
     def observe(self, server: int, load_report: int) -> None:
         """A reply to this client carried the server's piggybacked load."""
         self.estimates[server] = load_report
-
-
-def globalize(n_servers: int, workers) -> list[int]:
-    """Worker layout for the idealized global single-queue baseline: one
-    rack-wide queue feeding every worker, modeled as a single server owning
-    all workers (zero dispatch latency, perfect knowledge)."""
-    if isinstance(workers, int):
-        return [n_servers * workers]
-    return [sum(workers)]

@@ -1,10 +1,11 @@
-"""Experiment configuration: strict JSON validation and resolution into the
-flat per-run specifications the simulator consumes.
+"""Experiment configuration: strict JSON validation, and resolution of each
+sweep point into the run specification the simulator consumes.
 
 Unknown keys are rejected (with the offending dotted path) rather than
 ignored, so a typo in a sweep file fails loudly instead of silently running
 defaults. A config may name several policy variants; each (variant, load,
-seed) triple resolves to one RunSpec.
+seed) triple resolves to one RunSpec, which holds only what differs between
+points and refers back to the validated config for every other setting.
 """
 
 from __future__ import annotations
@@ -97,21 +98,20 @@ def _parse_dist(block: dict, path: str) -> ServiceDistribution:
 
 @dataclass(slots=True)
 class RunSpec:
-    """Everything one simulation run needs, fully resolved. Global-queue
-    variants are already collapsed to a single pooled server here."""
+    """The values one (variant, load, seed) point resolves to. Every other
+    setting (network delays, intra-server and ReqTable parameters, sweep
+    window, timeline, instrumentation) is read from `exp`, the validated
+    config. Global-queue variants are already collapsed to a single pooled
+    server here."""
 
-    name: str
-    variant: str
-    load_fraction: float
+    exp: ExperimentConfig
     seed: int
     n_servers: int
     workers: list
     active0: list
     loc_sets: list
     classes: list                # ClassSpec, rebuilt per run (mutable weights)
-    class_tags: list
     clients: int
-    gap_us: float
     policy_kind: str
     policy_k: int
     policy_bound: int
@@ -120,28 +120,7 @@ class RunSpec:
     rep_loss_prob: float
     double_count_prob: float
     intra_kind: str
-    slice_us: float
-    preempt_threshold_us: float | None
-    ctx_switch_us: float
-    preempt_latency_us: float
-    wfq_weights: list | None
-    priorities: list
-    rt_stages: int
-    rt_slots: int
-    rt_ttl_us: float
-    budget: PipelineBudget
-    d_cs: float                  # client <-> switch one-way delay
-    d_ss: float                  # switch <-> server one-way delay
-    switch_lat: float            # switch processing latency per packet
     rate_rps: float
-    requests_target: int
-    duration_us: float | None
-    warmup_fraction: float
-    drain_us: float
-    timeline: list
-    census_interval_us: float | None
-    bucket_us: float | None
-    capacity_rps: float
 
 
 class ExperimentConfig:
@@ -554,18 +533,14 @@ class ExperimentConfig:
             ))
 
         return RunSpec(
-            name=self.name,
-            variant=variant,
-            load_fraction=load,
+            exp=self,
             seed=seed,
             n_servers=n_servers,
             workers=workers,
             active0=active0,
             loc_sets=loc_sets,
             classes=classes,
-            class_tags=[c.tag for c in classes],
             clients=v["clients"] if v["clients"] is not None else self.clients,
-            gap_us=self.gap_us,
             policy_kind=policy_kind,
             policy_k=v["k"],
             policy_bound=v["bound"],
@@ -574,26 +549,5 @@ class ExperimentConfig:
             rep_loss_prob=v["tracking"][1],
             double_count_prob=v["tracking"][2],
             intra_kind=intra_kind,
-            slice_us=self.slice_us,
-            preempt_threshold_us=self.preempt_threshold_us,
-            ctx_switch_us=self.ctx_switch_us,
-            preempt_latency_us=self.preempt_latency_us,
-            wfq_weights=self.wfq_weights,
-            priorities=[c.priority for c in classes],
-            rt_stages=self.rt_stages,
-            rt_slots=self.rt_slots,
-            rt_ttl_us=self.rt_ttl_us,
-            budget=self.budget,
-            d_cs=self.d_cs,
-            d_ss=self.d_ss,
-            switch_lat=self.switch_lat,
             rate_rps=load * self.capacity_rps,
-            requests_target=self.requests_per_point,
-            duration_us=self.duration_us,
-            warmup_fraction=self.warmup_fraction,
-            drain_us=self.drain_us,
-            timeline=[dict(ev) for ev in self.timeline],
-            census_interval_us=self.census_interval_us,
-            bucket_us=self.bucket_us,
-            capacity_rps=self.capacity_rps,
         )

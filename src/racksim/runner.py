@@ -36,15 +36,16 @@ class RackRun:
 
     def __init__(self, spec: RunSpec, trace_affinity: bool = False):
         self.spec = spec
+        exp = self.exp = spec.exp
         self.sim = EventLoop()
         self.streams = RngStreams(spec.seed)
 
-        self.d_cs = spec.d_cs
-        self.fwd_delay = spec.switch_lat + spec.d_ss   # switch -> server
-        self.rep_delay = spec.switch_lat + spec.d_cs   # switch -> client
-        self.gap_us = spec.gap_us
+        self.d_cs = exp.d_cs
+        self.fwd_delay = exp.switch_lat + exp.d_ss   # switch -> server
+        self.rep_delay = exp.switch_lat + exp.d_cs   # switch -> client
+        self.gap_us = exp.gap_us
         self._to_server = self.sim.lane(self.fwd_delay)
-        self._to_switch = self.sim.lane(spec.d_ss)
+        self._to_switch = self.sim.lane(exp.d_ss)
 
         self.factory = RequestFactory(
             spec.classes, self.streams.get("classes"), self.streams.get("service"))
@@ -58,26 +59,27 @@ class RackRun:
         self._set_rate(spec.rate_rps)
 
         # generation window and measurement window
-        if spec.duration_us is not None:
-            self.t_arr_end = spec.duration_us
+        if exp.duration_us is not None:
+            self.t_arr_end = exp.duration_us
         else:
             total_rate_us = spec.rate_rps / 1e6
-            self.t_arr_end = spec.requests_target / (
-                total_rate_us * (1.0 - spec.warmup_fraction))
-        self.w0 = spec.warmup_fraction * self.t_arr_end
+            self.t_arr_end = exp.requests_per_point / (
+                total_rate_us * (1.0 - exp.warmup_fraction))
+        self.w0 = exp.warmup_fraction * self.t_arr_end
         self.w1 = self.t_arr_end
-        self.hard_end = self.t_arr_end + spec.drain_us
+        self.hard_end = self.t_arr_end + exp.drain_us
 
+        priorities = [c.priority for c in spec.classes]
         self.servers = []
         for sid in range(spec.n_servers):
             srv = Server(
                 sid, spec.workers[sid], spec.intra_kind, self.sim, self._emit,
-                n_classes=len(spec.classes), slice_us=spec.slice_us,
-                preempt_threshold_us=spec.preempt_threshold_us,
-                ctx_switch_us=spec.ctx_switch_us,
-                preempt_latency_us=spec.preempt_latency_us,
-                tracking=spec.tracking, wfq_weights=spec.wfq_weights,
-                priorities=spec.priorities)
+                n_classes=len(spec.classes), slice_us=exp.slice_us,
+                preempt_threshold_us=exp.preempt_threshold_us,
+                ctx_switch_us=exp.ctx_switch_us,
+                preempt_latency_us=exp.preempt_latency_us,
+                tracking=spec.tracking, wfq_weights=exp.wfq_weights,
+                priorities=priorities)
             self.servers.append(srv)
 
         self.client_mode = spec.client_mode
@@ -90,11 +92,11 @@ class RackRun:
             self.dispatch_hist = [0] * spec.n_servers
         else:
             rnd_h = self.streams.get("hashing")
-            salts = [rnd_h.getrandbits(61) for _ in range(spec.rt_stages)]
+            salts = [rnd_h.getrandbits(61) for _ in range(exp.rt_stages)]
             policy_salt = rnd_h.getrandbits(61)
             fallback_salt = rnd_h.getrandbits(61)
-            table = ReqTable(spec.rt_stages, spec.rt_slots, salts,
-                             ttl_us=spec.rt_ttl_us)
+            table = ReqTable(exp.rt_stages, exp.rt_slots, salts,
+                             ttl_us=exp.rt_ttl_us)
             policy = make_policy(spec.policy_kind, len(spec.classes), policy_salt,
                                  k=spec.policy_k, bound=spec.policy_bound)
             self.switch = Switch(
@@ -115,7 +117,7 @@ class RackRun:
         self.client_dropped = 0
         self.census_system: dict = {}
         self.census_waiting: dict = {}
-        self.bucket_us = spec.bucket_us
+        self.bucket_us = exp.bucket_us
         self.buckets = [[] for _ in range(n_classes)] if self.bucket_us else []
 
     # -- rate control ------------------------------------------------------------
@@ -239,7 +241,7 @@ class RackRun:
                     self.switch.mark_dropped(req)
                 self.sim.schedule(now + ev["purge_delay_us"], self._ev_purge, sid)
         elif kind == "set_load":
-            self._set_rate(ev["load"] * self.spec.capacity_rps)
+            self._set_rate(ev["load"] * self.exp.capacity_rps)
             self._gen_token += 1
             arg_token = self._gen_token
             if self._rate_pc > 0.0:
@@ -263,7 +265,7 @@ class RackRun:
             w = n - srv.busy
             self.census_system[n] = self.census_system.get(n, 0) + 1
             self.census_waiting[w] = self.census_waiting.get(w, 0) + 1
-        nxt = now - log(1.0 - self._rnd_census.random()) * self.spec.census_interval_us
+        nxt = now - log(1.0 - self._rnd_census.random()) * self.exp.census_interval_us
         if nxt < self.w1:
             self.sim.schedule(nxt, self._ev_census, None)
 
@@ -277,26 +279,26 @@ class RackRun:
 
     def run(self) -> MetricsRecord:
         t0 = time.perf_counter()
-        spec = self.spec
+        spec, exp = self.spec, self.exp
         if self._rate_pc > 0.0:
             for c in range(spec.clients):
                 self.sim.schedule(self.d_cs + self._next_gap(c),
                                   self._ev_send, (c, 0))
-        for ev in spec.timeline:
+        for ev in exp.timeline:
             self.sim.schedule(ev["at_us"], self._ev_timeline, ev)
-        if spec.census_interval_us is not None:
+        if exp.census_interval_us is not None:
             self._rnd_census = self.streams.get("census")
-            first = self.w0 - log(1.0 - self._rnd_census.random()) * spec.census_interval_us
+            first = self.w0 - log(1.0 - self._rnd_census.random()) * exp.census_interval_us
             if first < self.w1:
                 self.sim.schedule(first, self._ev_census, None)
-        if self.switch is not None and spec.rt_ttl_us:
-            self._maint_period = spec.rt_ttl_us / 2.0
+        if self.switch is not None and exp.rt_ttl_us:
+            self._maint_period = exp.rt_ttl_us / 2.0
             self.sim.schedule(self._maint_period, self._ev_maint, None)
 
         self.sim.run_until(self.hard_end)
 
         rec = MetricsRecord(
-            class_tags=list(spec.class_tags),
+            class_tags=[c.tag for c in spec.classes],
             window=(self.w0, self.w1),
             samples=self.samples,
             arrivals=self.arrivals,

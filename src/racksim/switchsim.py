@@ -2,8 +2,9 @@
 multi-stage request-affinity table, pluggable inter-server policies, load
 tracking mechanisms, a pipeline stage-budget model, and fault hooks.
 
-First packets (REQF) pick a server and record the mapping; subsequent packets
-(REQR) follow the mapping; replies (REP) clear it and update tracked load.
+First packets (REQF, `route_reqf`) pick a server and record the mapping;
+subsequent packets (REQR, `route_reqr`) follow the mapping; final replies
+(REP, `note_rep`) clear it and update tracked load.
 A REQR whose mapping is missing (table overflow, post-failure) falls back to
 hash routing over the *physical* membership of the request's locality set so
 that every packet of a request still reaches one server.
@@ -14,34 +15,16 @@ PYTHONHASHSEED, so placement is reproducible across runs on one platform).
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 
-from .baselines import dispatch_random, hash_pick
+from .baselines import dispatch_random, hash_pick, least_of_k
 from .engine import SimulationError
-
-# packet types; REPP is a non-final dependency-group reply: forwarded to the
-# client but neither table-clearing nor load-updating.
-REQF, REQR, REP, REPP = 0, 1, 2, 3
 
 # load tracking mechanisms
 INT1, INT2, INT3, PROACTIVE = "int1", "int2", "int3", "proactive"
 TRACKING_KINDS = (INT1, INT2, INT3, PROACTIVE)
-
-
-@dataclass(slots=True)
-class Packet:
-    """Wire format seen by the switch."""
-
-    ptype: int
-    req_id: int
-    src: int
-    dst: int
-    class_tag: int = 0
-    priority: int = 0
-    locality: int = 0
-    load_report: float = 0.0
-    req: object = None
 
 
 @dataclass(frozen=True)
@@ -52,13 +35,13 @@ class PipelineBudget:
 
 
 def stage_cost(policy_kind: str, n_servers: int, budget: PipelineBudget,
-               k: int = 0, layout: str = "tree") -> int:
+               k: int = 0) -> int:
     """Pipeline stages a policy consumes.
 
-    A linear scan costs one stage per candidate. A min-tree over s candidates
-    costs sum over layers of ceil(layer_width / comparisons_per_stage), with
-    layer widths halving. Sampling(k) prepends ceil(k / reads_per_stage)
-    stages to read the sampled counters.
+    A min-tree over s candidates costs sum over layers of
+    ceil(layer_width / comparisons_per_stage), with layer widths halving.
+    Sampling(k) prepends ceil(k / reads_per_stage) stages to read the
+    sampled counters.
     """
     def tree(s: int) -> int:
         stages = 0
@@ -71,10 +54,10 @@ def stage_cost(policy_kind: str, n_servers: int, budget: PipelineBudget,
     if policy_kind in ("hash", "rr", "random"):
         return 1
     if policy_kind in ("shortest", "jbsq"):
-        return n_servers if layout == "linear" else tree(n_servers)
+        return tree(n_servers)
     if policy_kind == "sampling":
         reads = -(-k // budget.reads_per_stage)
-        return reads + (k if layout == "linear" else tree(k))
+        return reads + tree(k)
     raise ValueError(f"unknown policy kind {policy_kind!r}")
 
 
@@ -141,9 +124,6 @@ class ReqTable:
             base += m
         return -1
 
-    def insert(self, req_id: int, server: int, now: float) -> bool:
-        return self.place(req_id, server, now) >= 0
-
     def read(self, req_id: int, slot: int | None = None) -> int:
         """Server mapped to req_id, or -1. `slot` is the hint from place;
         None means unknown, as for the later members of a group, which share
@@ -188,68 +168,45 @@ class ReqTable:
         self._drop(list(self._live))
 
 
+# A policy's select(loads, elig, rnd, req) picks a server for `req` from
+# `elig`, its eligible servers, given `loads` indexed by server; JBSQ returns
+# None when the request must stall.
+
 class RandomPolicy:
-    kind = "random"
     uses_outstanding = False
 
-    def select(self, loads, elig, rnd, req_id):
+    def select(self, loads, elig, rnd, req):
         return dispatch_random(elig, rnd)
 
 
 class HashRandomPolicy:
-    kind = "hash"
     uses_outstanding = False
 
     def __init__(self, salt: int):
         self.salt = salt
 
-    def select(self, loads, elig, rnd, req_id):
-        return hash_pick(req_id, elig, self.salt)
+    def select(self, loads, elig, rnd, req):
+        return hash_pick(req.req_id, elig, self.salt)
 
 
 class RoundRobinPolicy:
     """Cyclic counter per class over the eligible list."""
 
-    kind = "rr"
     uses_outstanding = False
 
     def __init__(self, n_classes: int):
         self._next = [0] * n_classes
-        self._class = 0
 
-    def bind_class(self, c: int):
-        self._class = c
-
-    def select(self, loads, elig, rnd, req_id):
-        c = self._class
+    def select(self, loads, elig, rnd, req):
+        c = req.tag
         i = self._next[c]
         self._next[c] = i + 1
         return elig[i % len(elig)]
 
 
-class ShortestPolicy:
-    """Exact shortest-queue over the eligible set, lowest index on ties."""
-
-    kind = "shortest"
-    uses_outstanding = False
-
-    def select(self, loads, elig, rnd, req_id):
-        best = elig[0]
-        bl = loads[best]
-        for s in elig:
-            l = loads[s]
-            if l < bl:
-                bl = l
-                best = s
-        return best
-
-
 class SamplingPolicy:
-    """Power-of-k-choices: k distinct eligible servers sampled uniformly,
-    least-loaded wins, lowest index on ties. With k == len(eligible) the
-    decision is identical to ShortestPolicy under the same tie-break."""
+    """Power-of-k-choices over the eligible set (`least_of_k`)."""
 
-    kind = "sampling"
     uses_outstanding = False
 
     def __init__(self, k: int):
@@ -257,43 +214,8 @@ class SamplingPolicy:
             raise SimulationError("sampling k must be >= 1")
         self.k = k
 
-    def select(self, loads, elig, rnd, req_id):
-        n = len(elig)
-        k = self.k
-        if k >= n:
-            best = elig[0]
-            bl = loads[best]
-            for s in elig:
-                l = loads[s]
-                if l < bl:
-                    bl = l
-                    best = s
-            return best
-        if k == 2:
-            i = int(rnd.random() * n)
-            j = int(rnd.random() * (n - 1))
-            if j >= i:
-                j += 1
-            a = elig[i]
-            b = elig[j]
-            la = loads[a]
-            lb = loads[b]
-            if lb < la or (lb == la and b < a):
-                return b
-            return a
-        picked = []
-        while len(picked) < k:
-            s = elig[int(rnd.random() * n)]
-            if s not in picked:
-                picked.append(s)
-        best = picked[0]
-        bl = loads[best]
-        for s in picked[1:]:
-            l = loads[s]
-            if l < bl or (l == bl and s < best):
-                bl = l
-                best = s
-        return best
+    def select(self, loads, elig, rnd, req):
+        return least_of_k(loads, elig, self.k, rnd)
 
 
 class JBSQPolicy:
@@ -301,7 +223,6 @@ class JBSQPolicy:
     bound; None means every eligible server is at the bound and the request
     stalls in the switch-side FIFO until a reply frees a slot."""
 
-    kind = "jbsq"
     uses_outstanding = True
 
     def __init__(self, bound: int):
@@ -309,7 +230,7 @@ class JBSQPolicy:
             raise SimulationError("jbsq bound must be >= 1")
         self.bound = bound
 
-    def select(self, loads, elig, rnd, req_id):
+    def select(self, loads, elig, rnd, req):
         bound = self.bound
         best = -1
         bl = bound
@@ -322,6 +243,8 @@ class JBSQPolicy:
 
 
 def make_policy(kind: str, n_classes: int, salt: int, k: int = 2, bound: int = 3):
+    """`shortest` is sampling with every eligible server a candidate: the
+    exact minimum, lowest index on ties."""
     if kind == "random":
         return RandomPolicy()
     if kind == "hash":
@@ -329,7 +252,7 @@ def make_policy(kind: str, n_classes: int, salt: int, k: int = 2, bound: int = 3
     if kind == "rr":
         return RoundRobinPolicy(n_classes)
     if kind == "shortest":
-        return ShortestPolicy()
+        return SamplingPolicy(sys.maxsize)
     if kind == "sampling":
         return SamplingPolicy(k)
     if kind == "jbsq":
@@ -352,7 +275,6 @@ class Switch:
         self.loc_sets = loc_sets            # physical membership, fixed per run
         self.active = active
         self.policy = policy
-        self.tracking = tracking
         self.reqtable = reqtable
         self.rnd_sampling = rnd_sampling
         self.rnd_loss = rnd_loss
@@ -378,7 +300,6 @@ class Switch:
         # routing specialised to the tracking mode and policy, bound once
         self._select = policy.select
         self._bounded = policy.uses_outstanding
-        self._rr = policy.kind == "rr"
         self._int2 = tracking == INT2
         self._proactive = tracking == PROACTIVE
         if self._int2:
@@ -463,10 +384,7 @@ class Switch:
         elig = self.elig[req.locality]
         if not elig:
             raise SimulationError("no eligible server for locality class")
-        c = req.tag
-        if self._rr:
-            self.policy.bind_class(c)
-        dst = self._select(self.counters[c], elig, self.rnd_sampling, req.req_id)
+        dst = self._select(self.counters[req.tag], elig, self.rnd_sampling, req)
         return self._dispatch(req, dst, now)
 
     def _route_int2(self, req, now: float):
@@ -491,7 +409,7 @@ class Switch:
         elig = self.elig[req.locality]
         if not elig:
             raise SimulationError("no eligible server for locality class")
-        dst = self._select(self.outstanding, elig, self.rnd_sampling, req.req_id)
+        dst = self._select(self.outstanding, elig, self.rnd_sampling, req)
         if dst is None:
             self.stalled.append(req.req_id)
             self._stall_buf[req.req_id] = (req, [])
@@ -560,20 +478,20 @@ class Switch:
                 pass  # reply's tracking effect lost (retransmission cleans up)
             else:
                 c = req.tag
-                t = self.tracking
-                if t == INT1 or t == INT3:
-                    self.counters[c][src] = load_report
-                elif t == PROACTIVE:
-                    row = self.counters[c]
-                    if row[src] > 0:
-                        row[src] -= 1
-                else:  # INT2: replace value from stored server, or the pair if smaller
+                if self._int2:
+                    # replace the stored server's value, or the pair if smaller
                     pair = self.int2[c]
                     if src == pair[0]:
                         pair[1] = load_report
                     elif load_report < pair[1]:
                         pair[0] = src
                         pair[1] = load_report
+                elif self._proactive:
+                    row = self.counters[c]
+                    if row[src] > 0:
+                        row[src] -= 1
+                else:  # INT1, INT3: the report overwrites
+                    self.counters[c][src] = load_report
             if self._bounded:
                 if self.outstanding[src] > 0:
                     self.outstanding[src] -= 1
@@ -582,7 +500,7 @@ class Switch:
                     sreq, follow = self._stall_buf.pop(rid)
                     elig = self.elig[sreq.locality]
                     dst = self._select(self.outstanding, elig,
-                                       self.rnd_sampling, rid)
+                                       self.rnd_sampling, sreq)
                     if dst is None:
                         # released slot raced away; put it back at the head
                         self.stalled.appendleft(rid)
@@ -590,40 +508,3 @@ class Switch:
                     else:
                         release = (sreq, self._dispatch(sreq, dst, now), follow)
         return True, release
-
-    # -- spec-shaped packet API (unit tests, composition) ---------------------
-
-    def process_packet(self, pkt: Packet, now: float):
-        """Forwarding decisions for one packet: a list of (where, dst, pkt)
-        with where in {"server", "client", "stall", "drop"}."""
-        if pkt.ptype == REQF:
-            dst = self.route_reqf(pkt.req, now)
-            if dst is None:
-                return [("drop", -1, pkt)]
-            if dst == -1:
-                return [("stall", -1, pkt)]
-            return [("server", dst, pkt)]
-        if pkt.ptype == REQR:
-            dst = self.route_reqr(pkt.req)
-            if dst is None:
-                return [("drop", -1, pkt)]
-            if dst == -1:
-                return [("stall", -1, pkt)]
-            return [("server", dst, pkt)]
-        if pkt.ptype in (REP, REPP):
-            delivered, release = self.note_rep(pkt.req, pkt.src, pkt.load_report,
-                                               pkt.ptype == REP, now)
-            if not delivered:
-                return [("drop", -1, pkt)]
-            out = [("client", pkt.dst, pkt)]
-            if release is not None:
-                sreq, dst, follow = release
-                out.append(("server", dst,
-                            Packet(REQF, sreq.req_id, -1, dst, sreq.tag,
-                                   sreq.priority, sreq.locality, 0.0, sreq)))
-                for req in follow:
-                    out.append(("server", dst,
-                                Packet(REQR, req.req_id, -1, dst, req.tag,
-                                       req.priority, req.locality, 0.0, req)))
-            return out
-        raise SimulationError(f"unknown packet type {pkt.ptype}")

@@ -214,14 +214,3 @@ class RequestFactory:
         self.created += len(members)
         return members
 
-
-def packetize(req: Request, gap_us: float, first_reqf: bool = True):
-    """Emission schedule for one request: (offset_us, ptype) pairs, REQF then
-    REQR x (packets - 1), consecutive packets gap_us apart. Dependency-group
-    members after the first emit only REQR (the stored mapping routes them)."""
-    from .switchsim import REQF, REQR
-
-    out = [(0.0, REQF if first_reqf else REQR)]
-    for i in range(1, req.packets):
-        out.append((i * gap_us, REQR))
-    return out

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from racksim.baselines import ClientView, dispatch_random, globalize, hash_pick
+from racksim.baselines import ClientView, dispatch_random, hash_pick
 
 
 def test_dispatch_random_uniform():
@@ -75,7 +75,3 @@ def test_client_view_general_k():
     # server 3 wins whenever sampled: P = 1 - C(7,3)/C(8,3) = 3/8
     assert hits / 2000 == pytest.approx(3 / 8, abs=0.04)
 
-
-def test_globalize_pools_workers():
-    assert globalize(8, 8) == [64]
-    assert globalize(3, [4, 2, 2]) == [8]

@@ -206,3 +206,69 @@ def test_jbsq_release_sends_each_group_member_once():
     assert rec.completed == rec.injected
     assert len(served) == rec.injected
     assert all(n == 1 for _, n in served.values())
+
+
+def test_packets_follow_the_send_schedule():
+    # a request's packets leave the client gap_us apart, a group's members
+    # one after another; only the group's first packet is a REQF
+    gap = 1.5
+    raw = {
+        "name": "schedule",
+        "servers": {"count": 4, "workers": 2},
+        "workload": {"inter_packet_gap_us": gap, "classes": [
+            {"tag": "rpc", "packets": 3,
+             "service": {"kind": "exponential", "mean_us": 30.0}},
+            {"tag": "grp", "packets": 2, "group_size": 2,
+             "service": {"kind": "exponential", "mean_us": 30.0}}]},
+        "policy": {"kind": "sampling", "k": 2},
+        "sweep": {"loads": [0.5], "seeds": [3], "requests_per_point": 2000},
+    }
+    spec = ExperimentConfig.from_dict(raw).build_runspec("default", 0.5, 3)
+    rr = RackRun(spec)
+    sent = {}           # req_id -> the members of one arrival
+    reqf = []
+    reqr = {}           # req_id -> requests routed as REQR, in order
+    delivered = {}      # req_id -> [(time, server, request)]
+
+    make_request = rr.factory.make_request
+
+    def making(client, now):
+        members = make_request(client, now)
+        if members:
+            sent[members[0].req_id] = members
+        return members
+
+    rr.factory.make_request = making
+    route_reqf, route_reqr = rr.switch.route_reqf, rr.switch.route_reqr
+
+    def routing_reqf(req, now):
+        reqf.append(req)
+        return route_reqf(req, now)
+
+    def routing_reqr(req):
+        reqr.setdefault(req.req_id, []).append(req)
+        return route_reqr(req)
+
+    rr.switch.route_reqf, rr.switch.route_reqr = routing_reqf, routing_reqr
+    for srv in rr.servers:
+        def arriving(now, req, sid=srv.sid, on_packet=srv.on_packet):
+            delivered.setdefault(req.req_id, []).append((now, sid, req))
+            on_packet(now, req)
+        srv.on_packet = arriving
+    rec = rr.run()
+    assert rec.dropped == 0 and rec.completed == rec.injected
+    assert {len(m) for m in sent.values()} == {1, 2}
+    assert {m[0].packets for m in sent.values()} == {2, 3}
+
+    assert reqf == [m[0] for m in sent.values()]
+    for rid, members in sent.items():
+        first = members[0]
+        assert reqr.get(rid, []) == [first] * (first.packets - 1) + [
+            r for r in members[1:] for _ in range(r.packets)]
+        got = delivered[rid]
+        assert [req for _, _, req in got] == [
+            r for r in members for _ in range(r.packets)]
+        assert len({sid for _, sid, _ in got}) == 1
+        times = [t for t, _, _ in got]
+        assert [b - a for a, b in zip(times, times[1:])] == \
+            pytest.approx([gap] * (len(times) - 1))

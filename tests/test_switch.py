@@ -1,12 +1,13 @@
-"""Switch semantics: policies, request table, tracking, faults, packets."""
+"""Switch semantics: policies, request table, tracking, faults, affinity."""
 
 import random
 
 import pytest
 
+from racksim.baselines import ClientView
 from racksim.switchsim import (
-    INT1, INT2, INT3, PROACTIVE, REQF, REQR, REP, REPP,
-    Packet, PipelineBudget, ReqTable, Switch, make_policy, stage_cost)
+    INT1, INT2, INT3, PROACTIVE, PipelineBudget, ReqTable, Switch,
+    make_policy, stage_cost)
 from racksim.workload import Group, Request
 
 
@@ -66,7 +67,7 @@ class TestStageCost:
 class TestReqTable:
     def test_insert_read_roundtrip(self):
         t = ReqTable(4, 64, [1, 2, 3, 4])
-        assert t.insert(1234, 6, now=0.0)
+        assert t.place(1234, 6, now=0.0) >= 0
         assert t.read(1234) == 6
         assert t.occupancy == 1
 
@@ -76,9 +77,9 @@ class TestReqTable:
 
     def test_collision_goes_to_next_stage_then_fallback(self):
         t = ReqTable(2, 1, [7, 8])  # every id collides at index 0
-        assert t.insert(11, 0, now=0.0)
-        assert t.insert(22, 1, now=0.0)
-        assert not t.insert(33, 2, now=0.0)  # both stages occupied
+        assert t.place(11, 0, now=0.0) >= 0
+        assert t.place(22, 1, now=0.0) >= 0
+        assert t.place(33, 2, now=0.0) == -1  # both stages occupied
         assert t.read(11) == 0
         assert t.read(22) == 1
         assert t.read(33) == -1  # fallback requests are never stored
@@ -86,7 +87,7 @@ class TestReqTable:
 
     def test_remove_then_read_absent_and_remove_idempotent(self):
         t = ReqTable(2, 64, [1, 2])
-        t.insert(5, 3, now=0.0)
+        t.place(5, 3, now=0.0)
         assert t.remove(5)
         assert t.read(5) == -1
         assert not t.remove(5)
@@ -94,17 +95,17 @@ class TestReqTable:
 
     def test_ttl_purges_stale_entries_only(self):
         t = ReqTable(2, 64, [1, 2], ttl_us=100.0)
-        t.insert(1, 0, now=0.0)
-        t.insert(2, 1, now=80.0)
+        t.place(1, 0, now=0.0)
+        t.place(2, 1, now=80.0)
         assert t.purge_stale(now=150.0) == 1
         assert t.read(1) == -1
         assert t.read(2) == 1
 
     def test_purge_server_drops_only_that_server(self):
         t = ReqTable(2, 64, [1, 2])
-        t.insert(1, 0, now=0.0)
-        t.insert(2, 1, now=0.0)
-        t.insert(3, 1, now=0.0)
+        t.place(1, 0, now=0.0)
+        t.place(2, 1, now=0.0)
+        t.place(3, 1, now=0.0)
         assert t.purge_server(1) == 2
         assert t.read(1) == 0
         assert t.read(2) == -1
@@ -113,7 +114,7 @@ class TestReqTable:
     def test_clear(self):
         t = ReqTable(2, 64, [1, 2])
         for rid in range(1, 20):
-            t.insert(rid, 0, now=0.0)
+            t.place(rid, 0, now=0.0)
         t.clear()
         assert t.occupancy == 0
         assert all(t.read(rid) == -1 for rid in range(1, 20))
@@ -138,37 +139,46 @@ class TestReqTable:
 class TestPolicies:
     def test_shortest_tiebreak_lowest_index(self):
         p = make_policy("shortest", 1, 0)
-        assert p.select([3, 1, 4, 1, 5], [0, 1, 2, 3, 4], None, 0) == 1
+        assert p.select([3, 1, 4, 1, 5], [0, 1, 2, 3, 4], None, make_req(1)) == 1
 
     def test_sampling_scripted_pair(self):
         # uniforms 0.1, 0.3 sample servers {0, 2}; loads 3 vs 4 -> server 0
         p = make_policy("sampling", 1, 0, k=2)
-        got = p.select([3, 1, 4, 1, 5], [0, 1, 2, 3, 4], FakeRnd([0.1, 0.3]), 0)
+        got = p.select([3, 1, 4, 1, 5], [0, 1, 2, 3, 4], FakeRnd([0.1, 0.3]),
+                       make_req(1))
         assert got == 0
 
-    def test_sampling_full_width_matches_shortest(self):
+    def test_full_width_choosers_pick_the_least_loaded(self):
+        # shortest, sampling with k = n, and a client view scanning every
+        # server all take the least load, lowest index on ties
+        n = 8
         rnd = random.Random(8)
-        full = make_policy("sampling", 1, 0, k=8)
         shortest = make_policy("shortest", 1, 0)
-        elig = list(range(8))
+        full = make_policy("sampling", 1, 0, k=n)
+        view = ClientView(n)
+        eligs = [list(range(n)), [2, 3, 6], [5], [0, 7]]
         for _ in range(500):
-            loads = [rnd.randrange(10) for _ in range(8)]
-            assert full.select(loads, elig, rnd, 0) == \
-                shortest.select(loads, elig, rnd, 0)
+            loads = [rnd.randrange(6) for _ in range(n)]
+            for elig in eligs:
+                want = min(elig, key=lambda s: (loads[s], s))
+                assert shortest.select(loads, elig, None, make_req(1)) == want
+                assert full.select(loads, elig, None, make_req(1)) == want
+                view.estimates[:] = loads
+                assert view.choose(elig, n + rnd.randrange(2), None) == want
 
     def test_round_robin_cycles_per_class(self):
         p = make_policy("rr", 2, 0)
         elig = [4, 5, 6]
-        p.bind_class(0)
-        first = [p.select([], elig, None, 0) for _ in range(4)]
+        first = [p.select([], elig, None, make_req(r, tag=0))
+                 for r in range(1, 5)]
         assert first == [4, 5, 6, 4]
-        p.bind_class(1)  # the other class has its own cursor
-        assert p.select([], elig, None, 0) == 4
+        # the other class has its own cursor
+        assert p.select([], elig, None, make_req(5, tag=1)) == 4
 
     def test_jbsq_bound(self):
         p = make_policy("jbsq", 1, 0, bound=2)
-        assert p.select([2, 1, 2], [0, 1, 2], None, 0) == 1
-        assert p.select([2, 2, 2], [0, 1, 2], None, 0) is None
+        assert p.select([2, 1, 2], [0, 1, 2], None, make_req(1)) == 1
+        assert p.select([2, 2, 2], [0, 1, 2], None, make_req(2)) is None
 
 
 # -- switch routing and tracking -----------------------------------------------
@@ -426,46 +436,6 @@ class TestFaults:
         stalled = sw.fail()
         assert [r.req_id for r in stalled] == [3]
         assert not sw.stalled and not sw._stall_buf
-
-
-class TestPacketApi:
-    def test_reqf_forwards_to_server(self):
-        sw = make_switch("shortest")
-        req = make_req(1)
-        pkt = Packet(REQF, 1, 0, -1, 0, 0, 0, 0.0, req)
-        [(where, dst, out)] = sw.process_packet(pkt, 0.0)
-        assert where == "server" and dst == sw.reqtable.read(1) and out is pkt
-
-    def test_rep_forwards_to_client_and_releases_stalled(self):
-        sw = make_switch("jbsq", bound=1, n=2)
-        r1, r2, r3 = (make_req(r) for r in (1, 2, 3))
-        sw.route_reqf(r1, 0.0)
-        sw.route_reqf(r2, 0.0)
-        sw.route_reqf(r3, 0.0)
-        sw.route_reqr(r3)
-        rep = Packet(REP, 1, 0, r1.client, 0, 0, 0, 4, r1)
-        out = sw.process_packet(rep, 1.0)
-        assert out[0] == ("client", r1.client, rep)
-        kinds = [(where, pkt.ptype) for where, _, pkt in out[1:]]
-        assert kinds == [("server", REQF), ("server", REQR)]
-
-    def test_drop_and_stall_decisions(self):
-        sw = make_switch("jbsq", bound=1, n=2)
-        for r in range(1, 3):
-            sw.route_reqf(make_req(r), 0.0)
-        stalled = Packet(REQF, 9, 0, -1, 0, 0, 0, 0.0, make_req(9))
-        assert sw.process_packet(stalled, 0.0) == [("stall", -1, stalled)]
-        sw.fail()
-        dead = Packet(REQF, 10, 0, -1, 0, 0, 0, 0.0, make_req(10))
-        assert sw.process_packet(dead, 1.0) == [("drop", -1, dead)]
-
-    def test_repp_is_non_final(self):
-        sw = make_switch("shortest")
-        req = make_req(1)
-        sw.route_reqf(req, 0.0)
-        repp = Packet(REPP, 1, 0, 0, 0, 0, 0, 2, req)
-        sw.process_packet(repp, 1.0)
-        assert sw.reqtable.read(1) != -1
 
 
 class TestAffinityTrace:

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from racksim.switchsim import REQF, REQR
 from racksim.workload import (
-    ClassSpec, Group, Request, RequestFactory, ServiceDistribution, packetize)
+    ClassSpec, Group, Request, RequestFactory, ServiceDistribution)
 
 
 def make_factory(classes, seed=1):
@@ -116,11 +115,6 @@ class TestRequestShape:
         assert r.remaining == 30.0
         assert r.pkts_pending == 2
         assert (r.measured, r.dropped, r.fallback) == (False, False, False)
-
-    def test_packetize_offsets(self):
-        r = Request(9, 1, 0, 0, 0, 3, 30.0, 4.0)
-        assert packetize(r, 1.5) == [(0.0, REQF), (1.5, REQR), (3.0, REQR)]
-        assert packetize(r, 1.0, first_reqf=False)[0] == (0.0, REQR)
 
     def test_group_done_counting(self):
         g = Group(2)
