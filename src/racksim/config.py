@@ -14,14 +14,14 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from .server import DISCIPLINES
 from .switchsim import PipelineBudget, TRACKING_KINDS, stage_cost
 from .workload import ClassSpec, ServiceDistribution
 
-POLICY_KINDS = (
-    "random", "hash", "rr", "shortest", "sampling", "jbsq",
-    "client", "global-cfcfs", "global-ps",
-)
-INTRA_KINDS = ("cfcfs", "ps", "mq-cfcfs", "mq-ps", "priority", "wfq")
+# rack-level baselines: dispatch at the clients, or one pooled server
+RACK_BASELINES = ("client", "global-cfcfs", "global-ps")
+POLICY_KINDS = ("random", "hash", "rr", "shortest", "sampling", "jbsq",
+                *RACK_BASELINES)
 TIMELINE_KINDS = ("switch_fail", "add_server", "remove_server", "set_load", "set_mix")
 
 
@@ -198,7 +198,6 @@ class ExperimentConfig:
     def _parse_locality(self, block: dict):
         if not isinstance(block, dict):
             _fail("locality_sets", "expected an object of name -> [server ids]")
-        self.loc_names = ["all"]
         self.loc_sets = [list(range(self.n_servers))]
         self.loc_index = {"all": 0}
         for name, members in block.items():
@@ -321,7 +320,7 @@ class ExperimentConfig:
         _check_keys(block, {"kind", "slice_us", "preempt_threshold_us",
                             "ctx_switch_us", "preempt_latency_us",
                             "wfq_weights"}, "intra")
-        self.intra_kind = _choice(block, "kind", "intra", INTRA_KINDS, "cfcfs")
+        self.intra_kind = _choice(block, "kind", "intra", DISCIPLINES, "cfcfs")
         self.slice_us = _num(block, "slice_us", "intra", 25.0, lo=1e-9)
         self.preempt_threshold_us = _num(block, "preempt_threshold_us", "intra",
                                          None, lo=1e-9, allow_none=True)
@@ -443,10 +442,10 @@ class ExperimentConfig:
                       else "policy",
                       f"policy needs {cost} pipeline stages, budget is "
                       f"{self.budget.max_stages}")
-            if kind in ("client", "global-cfcfs", "global-ps") and uses_locality:
+            if kind in RACK_BASELINES and uses_locality:
                 _fail("workload.classes",
                       f"locality sets are not meaningful under the {kind!r} baseline")
-            if kind in ("client", "global-cfcfs", "global-ps") and self.timeline:
+            if kind in RACK_BASELINES and self.timeline:
                 for ev in self.timeline:
                     if ev["kind"] in ("switch_fail", "add_server", "remove_server"):
                         _fail("timeline",
@@ -466,7 +465,7 @@ class ExperimentConfig:
     def variant_stage_cost(self, vname: str) -> int:
         v = self.variants[vname]
         kind = v["kind"]
-        if kind in ("client", "global-cfcfs", "global-ps"):
+        if kind in RACK_BASELINES:
             return 1  # pass-through forwarding only
         return stage_cost(kind, self.n_servers, self.budget, k=v["k"])
 

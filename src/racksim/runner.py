@@ -114,7 +114,6 @@ class RackRun:
         self.arrivals = [0] * n_classes
         self.fallbacks = [0] * n_classes
         self.completed_total = 0
-        self.client_dropped = 0
         self.census_system: dict = {}
         self.census_waiting: dict = {}
         self.bucket_us = exp.bucket_us
@@ -150,34 +149,33 @@ class RackRun:
                 arrivals[req.tag] += 1
 
         if self.client_mode:
+            # every packet goes straight to the server the client picked
             dst = self.views[client].choose(self.elig_all, self.view_k,
                                             self.rnd_choice)
             self.dispatch_hist[dst] += len(members)
-            t_fwd = now + self.fwd_delay
-            schedule = self.sim.schedule
-            on_packet = self.servers[dst].on_packet
-            offset = 0.0
-            for req in members:
-                for _ in range(req.packets):
-                    schedule(t_fwd + offset, on_packet, req)
-                    offset += self.gap_us
-            return
-
-        first = members[0]
-        dst = self.switch.route_reqf(first, now)
-        if dst is not None and dst >= 0:
-            self._to_server(now, self.servers[dst].on_packet, first)
-        if self._trailing:
+            t0 = now + self.fwd_delay
+            handler = self.servers[dst].on_packet
+            skip = 0
+        else:
+            first = members[0]
+            dst = self.switch.route_reqf(first, now)
+            if dst is not None and dst >= 0:
+                self._to_server(now, self.servers[dst].on_packet, first)
+            if not self._trailing:
+                return
             # trailing packets and any further group members follow as REQR
-            offset = self.gap_us
-            schedule = self.sim.schedule
-            for _ in range(first.packets - 1):
-                schedule(now + offset, self._ev_reqr, first)
-                offset += self.gap_us
-            for m in members[1:]:
-                for _ in range(m.packets):
-                    schedule(now + offset, self._ev_reqr, m)
-                    offset += self.gap_us
+            t0 = now
+            handler = self._ev_reqr
+            skip = 1    # the first packet went through route_reqf
+        # packets leave gap_us apart, a group's members one after another
+        schedule = self.sim.schedule
+        gap = self.gap_us
+        offset = gap if skip else 0.0
+        for m in members:
+            for _ in range(m.packets - skip):
+                schedule(t0 + offset, handler, m)
+                offset += gap
+            skip = 0
 
     def _ev_reqr(self, now: float, req):
         dst = self.switch.route_reqr(req)
@@ -306,8 +304,7 @@ class RackRun:
             fallbacks=self.fallbacks,
             injected=self.factory.created,
             completed=self.completed_total,
-            dropped=(self.switch.dropped_requests if self.switch is not None
-                     else self.client_dropped),
+            dropped=self.switch.dropped_requests if self.switch else 0,
             dispatch_hist=(list(self.switch.dispatch_hist)
                            if self.switch is not None else list(self.dispatch_hist)),
             fallback_inserts=self.switch.fallback_insert if self.switch else 0,

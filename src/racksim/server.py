@@ -1,24 +1,28 @@
 """Server model: W workers draining per-server queues under a preemptive
-intra-server policy.
+intra-server discipline.
 
-Policies: centralized FCFS (optionally preempting requests that exceed a
-running threshold, re-enqueued at the tail), processor sharing at a fixed
-time slice, their multi-queue per-class variants (arbitrated by earliest head
-arrival), strict priority with preemption of running lower-priority work, and
-weighted fair queueing across clients at slice granularity.
+`DISCIPLINES` names each discipline by the request attribute that picks its
+queue and by whether a quantum is capped at the optional preemption
+threshold (run to completion) or at the slice (sharing). Without an
+attribute there is one FIFO (cfcfs, ps); `tag` gives per-class queues served
+by earliest head arrival (mq-cfcfs, mq-ps); `priority` gives per-level
+queues served highest first, an arrival preempting lower-priority work
+(priority); `client` gives per-client queues served weighted round-robin in
+quanta (wfq).
 
-The discipline is bound once, at construction, to a push (enqueue at the
-tail) and a pick (take the next request to serve). The server owns its timer
-events; cancellation is by per-worker tokens (a stale token means the worker
-was reassigned and the event is void). A token is the event's only argument:
-tokens of worker `wid` are congruent to `wid` modulo the worker count, so the
-token also names its worker. Replies are emitted through a callback so the
-server never needs to know about network delays or the switch.
+Push (enqueue at the tail), pick (take the next request to serve), cap and
+coalescing are bound once, at construction; no discipline is compared per
+event. The server owns its timer events; cancellation is by per-worker
+tokens (a stale token means the worker was reassigned and the event is
+void). A token is the event's only argument: tokens of worker `wid` are
+congruent to `wid` modulo the worker count, so the token also names its
+worker. Replies are emitted through a callback so the server never needs to
+know about network delays or the switch.
 
 One timer per uninterrupted run. A sliced request whose worker finds nothing
 else queued at a slice end is handed straight back to the same worker, so
-while the server's queues stay empty its slices run back to back. Under
-cfcfs, ps, mq-cfcfs and mq-ps with a cap, `_assign` then schedules a single
+while the server's queues stay empty its slices run back to back. With no
+queue attribute or `tag` and a cap, `_assign` then schedules a single
 timer for the end of the whole run instead of one per slice. The end time
 is summed slice by slice, exactly as the per-slice timers would have
 advanced the clock, so every float is the same. When a request queues
@@ -31,19 +35,21 @@ one timer per slice.
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 
 from .engine import SimulationError
 from .switchsim import INT3
 
-CFCFS, PS, MQ_CFCFS, MQ_PS, PRIO, WFQ = range(6)
-
-INTRA_CODES = {
-    "cfcfs": CFCFS,
-    "ps": PS,
-    "mq-cfcfs": MQ_CFCFS,
-    "mq-ps": MQ_PS,
-    "priority": PRIO,
-    "wfq": WFQ,
+# name -> (request attribute that picks the queue, or None for one queue;
+#          True if a quantum is capped at the preemption threshold, False if
+#          at the slice)
+DISCIPLINES = {
+    "cfcfs": (None, True),
+    "ps": (None, False),
+    "mq-cfcfs": ("tag", True),
+    "mq-ps": ("tag", False),
+    "priority": ("priority", True),
+    "wfq": ("client", False),
 }
 
 
@@ -54,27 +60,29 @@ class Server:
                  ctx_switch_us: float = 0.0, preempt_latency_us: float = 5.0,
                  tracking: str = "int1", wfq_weights: list[float] | None = None,
                  priorities: list[int] | None = None):
-        code = INTRA_CODES.get(intra)
-        if code is None:
+        if intra not in DISCIPLINES:
             raise SimulationError(f"unknown intra-server policy {intra!r}")
-        if code == WFQ and not wfq_weights:
+        key, to_threshold = DISCIPLINES[intra]
+        if key == "client" and not wfq_weights:
             raise SimulationError("wfq requires per-client weights")
         self.sid = sid
         self.n_workers = n_workers
-        self.code = code
         self.sim = sim
         self.emit = emit
         self.n_classes = n_classes
-        # run-to-completion disciplines cap a quantum at the (optional)
-        # preemption threshold; sharing disciplines at the slice
-        self.cap = (preempt_threshold_us if code in (CFCFS, MQ_CFCFS, PRIO)
-                    else slice_us)
+        self.cap = preempt_threshold_us if to_threshold else slice_us
         self.ctx_us = ctx_switch_us
         self.preempt_lat_us = preempt_latency_us
         self.int3 = tracking == INT3
         self._coalesce = (self.cap is not None and not self.int3
-                          and code in (CFCFS, PS, MQ_CFCFS, MQ_PS))
+                          and key in (None, "tag"))
         self._runs = 0          # coalesced runs started since the last cut
+        # a busy arrival preempts running lower-priority work
+        self._preempts = key == "priority"
+        # An idle worker implies empty queues, so an arrival that finds one
+        # is the only candidate and starts at once, except under WFQ, whose
+        # pick also advances the round-robin credit.
+        self._credit = key == "client"
 
         self.w_req: list = [None] * n_workers
         self.w_start = [0.0] * n_workers
@@ -86,32 +94,28 @@ class Server:
         self.idle = list(range(n_workers - 1, -1, -1))
         self.busy = 0
 
-        # An idle worker implies empty queues, so an arrival that finds one
-        # is the only candidate and starts at once, except under WFQ, whose
-        # pick also advances the round-robin credit.
-        self._direct = code != WFQ
-        if code in (CFCFS, PS):
+        # key value -> queue, in the order a pick scans them
+        if key is None:
             q: deque = deque()
-            self._queues = [q]
+            self._queues = {0: q}
             self._push = q.append
             self._pick = q.popleft
-        elif code in (MQ_CFCFS, MQ_PS):
-            self._queues = [deque() for _ in range(n_classes)]
-            self._push = self._push_by_class
-            self._pick = self._pick_earliest_head
-        elif code == PRIO:
-            levels = sorted(set(priorities or [0]), reverse=True)
-            self.prio_queues: dict[int, deque] = {p: deque() for p in levels}
-            self._queues = list(self.prio_queues.values())
-            self._push = self._push_by_priority
-            self._pick = self._pick_highest_priority
-        else:  # WFQ
-            self.weights = [int(w) for w in wfq_weights]
-            self._queues = [deque() for _ in self.weights]
-            self.wfq_idx = 0
-            self.wfq_credit = 0
-            self._push = self._push_by_client
-            self._pick = self._pick_weighted
+        else:
+            if key == "priority":
+                levels = sorted(set(priorities or [0]), reverse=True)
+                self._pick = self._pick_highest_priority
+            elif key == "client":
+                self.weights = [int(w) for w in wfq_weights]
+                levels = range(len(self.weights))
+                self.wfq_idx = 0
+                self.wfq_credit = 0
+                self._pick = self._pick_weighted
+            else:
+                levels = range(n_classes)
+                self._pick = self._pick_earliest_head
+            self._queues = {v: deque() for v in levels}
+            self._key = attrgetter(key)
+            self._push = self._push_keyed
 
         self.outstanding = [0] * n_classes      # queued + running, per class
         self.rem_sum = [0.0] * n_classes        # remaining service, per class (int3)
@@ -143,13 +147,13 @@ class Server:
             self.rem_sum[tag] += req.remaining
         self.in_system += 1
         idle = self.idle
-        if idle and self._direct:
+        if idle and not self._credit:
             self._assign(idle.pop(), req, now)
             return
         self._push(req)
         if idle:
             self._dispatch(now)
-        elif self.code == PRIO:
+        elif self._preempts:
             self._maybe_preempt(req.priority, now)
         elif self._runs:
             self._cut_runs(now)
@@ -158,13 +162,13 @@ class Server:
     # A pick is only made while something is queued (in_system > busy, as
     # in_system counts queued plus running and busy counts running).
 
-    def _push_by_class(self, req) -> None:
-        self._queues[req.tag].append(req)
+    def _push_keyed(self, req) -> None:
+        self._queues[self._key(req)].append(req)
 
     def _pick_earliest_head(self):
         best = None
         bt = 0.0
-        for q in self._queues:
+        for q in self._queues.values():
             if q:
                 t = q[0].arrival
                 if best is None or t < bt:
@@ -172,16 +176,10 @@ class Server:
                     best = q
         return best.popleft()
 
-    def _push_by_priority(self, req) -> None:
-        self.prio_queues[req.priority].append(req)
-
     def _pick_highest_priority(self):
-        for q in self._queues:
+        for q in self._queues.values():
             if q:
                 return q.popleft()
-
-    def _push_by_client(self, req) -> None:
-        self._queues[req.client].append(req)
 
     def _pick_weighted(self):
         """Weighted round-robin over clients in slice quanta."""
@@ -207,7 +205,7 @@ class Server:
         pick = self._pick
         while idle:
             if self.in_system == self.busy:
-                if self.code == WFQ:
+                if self._credit:
                     # a sweep that finds every queue empty forfeits the credit
                     self.wfq_credit = 0
                 return
@@ -299,7 +297,7 @@ class Server:
             self.emit(req, self.sid, load, final, now)
         else:
             self._push(req)
-        if self.in_system > self.busy or self.code == WFQ:
+        if self.in_system > self.busy or self._credit:
             self._dispatch(now)
 
     def current_load(self, tag: int, now: float) -> float:
@@ -342,7 +340,7 @@ class Server:
         self.w_last[victim_wid] = req
         self.busy -= 1
         # victim was in service: it resumes from the head of its own queue
-        self.prio_queues[req.priority].appendleft(req)
+        self._queues[self._key(req)].appendleft(req)
         self.sim.schedule(now + self.preempt_lat_us, self._on_switch_done, token)
 
     def _on_switch_done(self, now: float, token: int) -> None:
@@ -358,7 +356,7 @@ class Server:
         """Unplanned removal: every queued, running, and partially-arrived
         request is lost. Returns the lost requests for drop accounting."""
         lost = []
-        for q in self._queues:
+        for q in self._queues.values():
             lost.extend(q)
             q.clear()
         for wid in range(self.n_workers):

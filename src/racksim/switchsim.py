@@ -231,15 +231,11 @@ class JBSQPolicy:
         self.bound = bound
 
     def select(self, loads, elig, rnd, req):
-        bound = self.bound
-        best = -1
-        bl = bound
-        for s in elig:
-            l = loads[s]
-            if l < bl:
-                bl = l
-                best = s
-        return best if best >= 0 else None
+        if elig:
+            best = least_of_k(loads, elig, sys.maxsize, rnd)
+            if loads[best] < self.bound:
+                return best
+        return None
 
 
 def make_policy(kind: str, n_classes: int, salt: int, k: int = 2, bound: int = 3):

@@ -4,6 +4,7 @@ import pytest
 
 from racksim.config import ExperimentConfig
 from racksim.runner import RackRun, run_point
+from racksim.server import DISCIPLINES
 
 from conftest import run_traced
 
@@ -50,22 +51,6 @@ def test_different_seeds_differ():
     a = run_point(exp, "default", 0.6, 1)
     b = run_point(exp, "default", 0.6, 2)
     assert a.samples != b.samples
-
-
-def test_full_width_sampling_is_exact_shortest():
-    raw = {
-        "name": "equiv",
-        "servers": {"count": 4, "workers": 4},
-        "workload": {"service": {"kind": "exponential", "mean_us": 30.0}},
-        "policies": {"exact": {"kind": "shortest"},
-                     "wide": {"kind": "sampling", "k": 4}},
-        "sweep": {"loads": [0.7], "seeds": [5], "requests_per_point": 8000},
-    }
-    exp = ExperimentConfig.from_dict(raw)
-    a = run_point(exp, "exact", 0.7, 5)
-    b = run_point(exp, "wide", 0.7, 5)
-    assert a.samples == b.samples
-    assert a.dispatch_hist == b.dispatch_hist
 
 
 def test_pooled_global_queue_beats_random_dispatch():
@@ -208,10 +193,10 @@ def test_jbsq_release_sends_each_group_member_once():
     assert all(n == 1 for _, n in served.values())
 
 
-def test_packets_follow_the_send_schedule():
-    # a request's packets leave the client gap_us apart, a group's members
-    # one after another; only the group's first packet is a REQF
-    gap = 1.5
+def _send_schedule_run(policy, gap):
+    """One run with a 3-packet class and a 2-packet group_size 2 class.
+    Returns the RackRun, the members of each arrival keyed by req_id, and
+    each req_id's packet deliveries as (time, server, request)."""
     raw = {
         "name": "schedule",
         "servers": {"count": 4, "workers": 2},
@@ -220,16 +205,13 @@ def test_packets_follow_the_send_schedule():
              "service": {"kind": "exponential", "mean_us": 30.0}},
             {"tag": "grp", "packets": 2, "group_size": 2,
              "service": {"kind": "exponential", "mean_us": 30.0}}]},
-        "policy": {"kind": "sampling", "k": 2},
+        "policy": policy,
         "sweep": {"loads": [0.5], "seeds": [3], "requests_per_point": 2000},
     }
     spec = ExperimentConfig.from_dict(raw).build_runspec("default", 0.5, 3)
     rr = RackRun(spec)
-    sent = {}           # req_id -> the members of one arrival
-    reqf = []
-    reqr = {}           # req_id -> requests routed as REQR, in order
-    delivered = {}      # req_id -> [(time, server, request)]
-
+    sent = {}
+    delivered = {}
     make_request = rr.factory.make_request
 
     def making(client, now):
@@ -239,36 +221,77 @@ def test_packets_follow_the_send_schedule():
         return members
 
     rr.factory.make_request = making
-    route_reqf, route_reqr = rr.switch.route_reqf, rr.switch.route_reqr
-
-    def routing_reqf(req, now):
-        reqf.append(req)
-        return route_reqf(req, now)
-
-    def routing_reqr(req):
-        reqr.setdefault(req.req_id, []).append(req)
-        return route_reqr(req)
-
-    rr.switch.route_reqf, rr.switch.route_reqr = routing_reqf, routing_reqr
     for srv in rr.servers:
         def arriving(now, req, sid=srv.sid, on_packet=srv.on_packet):
             delivered.setdefault(req.req_id, []).append((now, sid, req))
             on_packet(now, req)
         srv.on_packet = arriving
-    rec = rr.run()
-    assert rec.dropped == 0 and rec.completed == rec.injected
-    assert {len(m) for m in sent.values()} == {1, 2}
-    assert {m[0].packets for m in sent.values()} == {2, 3}
+    return rr, sent, delivered
 
-    assert reqf == [m[0] for m in sent.values()]
-    for rid, members in sent.items():
-        first = members[0]
-        assert reqr.get(rid, []) == [first] * (first.packets - 1) + [
-            r for r in members[1:] for _ in range(r.packets)]
-        got = delivered[rid]
-        assert [req for _, _, req in got] == [
-            r for r in members for _ in range(r.packets)]
-        assert len({sid for _, sid, _ in got}) == 1
-        times = [t for t, _, _ in got]
-        assert [b - a for a, b in zip(times, times[1:])] == \
-            pytest.approx([gap] * (len(times) - 1))
+
+def test_packets_follow_the_send_schedule():
+    # a request's packets leave the client gap_us apart, a group's members
+    # one after another, under switch and client dispatch alike; at the
+    # switch only the group's first packet is a REQF
+    gap = 1.5
+    for policy in ({"kind": "sampling", "k": 2}, {"kind": "client", "k": 2}):
+        rr, sent, delivered = _send_schedule_run(policy, gap)
+        reqf = []
+        reqr = {}       # req_id -> requests routed as REQR, in order
+        if rr.switch is not None:
+            route_reqf, route_reqr = rr.switch.route_reqf, rr.switch.route_reqr
+
+            def routing_reqf(req, now, route_reqf=route_reqf):
+                reqf.append(req)
+                return route_reqf(req, now)
+
+            def routing_reqr(req, route_reqr=route_reqr):
+                reqr.setdefault(req.req_id, []).append(req)
+                return route_reqr(req)
+
+            rr.switch.route_reqf = routing_reqf
+            rr.switch.route_reqr = routing_reqr
+        rec = rr.run()
+        assert rec.dropped == 0 and rec.completed == rec.injected
+        assert {len(m) for m in sent.values()} == {1, 2}
+        assert {m[0].packets for m in sent.values()} == {2, 3}
+        if rr.switch is not None:
+            assert reqf == [m[0] for m in sent.values()]
+        for rid, members in sent.items():
+            first = members[0]
+            if rr.switch is not None:
+                assert reqr.get(rid, []) == [first] * (first.packets - 1) + [
+                    r for r in members[1:] for _ in range(r.packets)]
+            got = delivered[rid]
+            assert [req for _, _, req in got] == [
+                r for r in members for _ in range(r.packets)]
+            assert len({sid for _, sid, _ in got}) == 1
+            times = [t for t, _, _ in got]
+            assert [b - a for a, b in zip(times, times[1:])] == \
+                pytest.approx([gap] * (len(times) - 1))
+
+
+@pytest.mark.parametrize("intra", sorted(DISCIPLINES))
+def test_every_discipline_runs_from_a_config(intra):
+    # each discipline, reached through ExperimentConfig and RackRun, loses
+    # no request and leaves every server empty and idle
+    block = {"kind": intra, "slice_us": 10.0}
+    if intra == "wfq":
+        block["wfq_weights"] = [2, 1]
+    raw = {
+        "name": f"wiring-{intra}",
+        "servers": {"count": 2, "workers": 2},
+        "workload": {"clients": 2, "classes": [
+            {"tag": "hi", "priority": 1,
+             "service": {"kind": "exponential", "mean_us": 30.0}},
+            {"tag": "lo", "service": {"kind": "exponential", "mean_us": 30.0}}]},
+        "policy": {"kind": "sampling", "k": 2},
+        "intra": block,
+        "sweep": {"loads": [0.8], "seeds": [1], "requests_per_point": 2000},
+    }
+    rr = RackRun(ExperimentConfig.from_dict(raw).build_runspec("default", 0.8, 1))
+    rec = rr.run()
+    assert rec.completed > 0
+    assert rec.injected == rec.completed + rec.dropped
+    for srv in rr.servers:
+        assert srv.in_system == srv.busy == 0

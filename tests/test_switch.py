@@ -150,11 +150,14 @@ class TestPolicies:
 
     def test_full_width_choosers_pick_the_least_loaded(self):
         # shortest, sampling with k = n, and a client view scanning every
-        # server all take the least load, lowest index on ties
+        # server all take the least load, lowest index on ties; jbsq takes
+        # it too, unless it is at the bound
         n = 8
+        bound = 3
         rnd = random.Random(8)
         shortest = make_policy("shortest", 1, 0)
         full = make_policy("sampling", 1, 0, k=n)
+        jbsq = make_policy("jbsq", 1, 0, bound=bound)
         view = ClientView(n)
         eligs = [list(range(n)), [2, 3, 6], [5], [0, 7]]
         for _ in range(500):
@@ -163,6 +166,8 @@ class TestPolicies:
                 want = min(elig, key=lambda s: (loads[s], s))
                 assert shortest.select(loads, elig, None, make_req(1)) == want
                 assert full.select(loads, elig, None, make_req(1)) == want
+                assert jbsq.select(loads, elig, None, make_req(1)) == (
+                    want if loads[want] < bound else None)
                 view.estimates[:] = loads
                 assert view.choose(elig, n + rnd.randrange(2), None) == want
 
@@ -179,6 +184,9 @@ class TestPolicies:
         p = make_policy("jbsq", 1, 0, bound=2)
         assert p.select([2, 1, 2], [0, 1, 2], None, make_req(1)) == 1
         assert p.select([2, 2, 2], [0, 1, 2], None, make_req(2)) is None
+        # a stalled request released while its whole set is inactive
+        # stays stalled
+        assert p.select([0, 0, 0], [], None, make_req(3)) is None
 
 
 # -- switch routing and tracking -----------------------------------------------
