@@ -66,6 +66,13 @@ def _choice(block: dict, key: str, path: str, choices, default=None):
     return v
 
 
+def _parse_tracking(block: dict, path: str):
+    """A tracking block, top-level or per variant: (kind, rep_loss_prob)."""
+    _check_keys(block, {"kind", "rep_loss_prob"}, path)
+    return (_choice(block, "kind", path, TRACKING_KINDS, "int1"),
+            _num(block, "rep_loss_prob", path, 0.0, lo=0.0, hi=1.0))
+
+
 def _parse_dist(block: dict, path: str) -> ServiceDistribution:
     _check_keys(block, {"kind", "mean_us", "modes"}, path)
     kind = _choice(block, "kind", path,
@@ -118,7 +125,6 @@ class RunSpec:
     client_mode: bool
     tracking: str
     rep_loss_prob: float
-    double_count_prob: float
     intra_kind: str
     rate_rps: float
 
@@ -143,7 +149,8 @@ class ExperimentConfig:
         self._parse_network(raw.get("network", {}))
         self._parse_locality(raw.get("locality_sets", {}))
         self._parse_workload(raw.get("workload", {}))
-        self._parse_tracking(raw.get("tracking", {}))
+        self.tracking, self.rep_loss_prob = _parse_tracking(
+            raw.get("tracking", {}), "tracking")
         self._parse_variants(raw)
         self._parse_intra(raw.get("intra", {}))
         self._parse_reqtable(raw.get("reqtable", {}))
@@ -293,28 +300,14 @@ class ExperimentConfig:
                 _fail(f"{path}.clients", "client count override is only valid "
                                          "for kind 'client'")
             # tracking may be overridden per variant (ablation sweeps)
-            tb = pb.get("tracking")
-            if tb is None:
-                track = (self.tracking, self.rep_loss_prob, self.double_count_prob)
-            else:
+            if "tracking" in pb:
                 tpath = f"{path}.tracking"
-                _check_keys(tb, {"kind", "rep_loss_prob", "double_count_prob"},
-                            tpath)
-                track = (
-                    _choice(tb, "kind", tpath, TRACKING_KINDS, "int1"),
-                    _num(tb, "rep_loss_prob", tpath, 0.0, lo=0.0, hi=1.0),
-                    _num(tb, "double_count_prob", tpath, 0.0, lo=0.0, hi=1.0),
-                )
+                track = _parse_tracking(pb["tracking"], tpath)
+            else:
+                tpath, track = "tracking", (self.tracking, self.rep_loss_prob)
             self.variants[vname] = {"kind": kind, "k": k, "bound": bound,
-                                    "clients": clients, "tracking": track}
-
-    def _parse_tracking(self, block: dict):
-        _check_keys(block, {"kind", "rep_loss_prob", "double_count_prob"}, "tracking")
-        self.tracking = _choice(block, "kind", "tracking", TRACKING_KINDS, "int1")
-        self.rep_loss_prob = _num(block, "rep_loss_prob", "tracking", 0.0,
-                                  lo=0.0, hi=1.0)
-        self.double_count_prob = _num(block, "double_count_prob", "tracking", 0.0,
-                                      lo=0.0, hi=1.0)
+                                    "clients": clients, "tracking": track,
+                                    "path": path, "tracking_path": tpath}
 
     def _parse_intra(self, block: dict):
         _check_keys(block, {"kind", "slice_us", "preempt_threshold_us",
@@ -438,9 +431,7 @@ class ExperimentConfig:
             kind = v["kind"]
             cost = self.variant_stage_cost(vname)
             if cost > self.budget.max_stages:
-                _fail(f"policies.{vname}" if len(self.variants) > 1 or "policies" in self.raw
-                      else "policy",
-                      f"policy needs {cost} pipeline stages, budget is "
+                _fail(v["path"], f"policy needs {cost} pipeline stages, budget is "
                       f"{self.budget.max_stages}")
             if kind in RACK_BASELINES and uses_locality:
                 _fail("workload.classes",
@@ -453,14 +444,17 @@ class ExperimentConfig:
                               f"not {kind!r}")
             if (v["clients"] is not None and self.wfq_weights is not None
                     and v["clients"] != self.clients):
-                _fail(f"policies.{vname}.clients",
+                _fail(f"{v['path']}.clients",
                       "cannot override the client count when wfq weights are "
                       "per client")
+            # bounded dispatch keeps its own outstanding counts, so piggyback
+            # tracking and reply loss would be dead config under jbsq
             if kind == "jbsq" and v["tracking"][0] != "int1":
-                # bounded dispatch keeps its own outstanding counts; piggyback
-                # variants would be dead config, so reject the combination
-                _fail("tracking.kind", "jbsq tracks outstanding replies itself; "
-                                       "use int1 with jbsq")
+                _fail(f"{v['tracking_path']}.kind", "jbsq tracks outstanding "
+                      "replies itself; use int1 with jbsq")
+            if kind == "jbsq" and v["tracking"][1] > 0.0:
+                _fail(f"{v['tracking_path']}.rep_loss_prob", "reply loss has no "
+                      "effect on jbsq's outstanding counts")
 
     def variant_stage_cost(self, vname: str) -> int:
         v = self.variants[vname]
@@ -546,7 +540,6 @@ class ExperimentConfig:
             client_mode=client_mode,
             tracking=v["tracking"][0],
             rep_loss_prob=v["tracking"][1],
-            double_count_prob=v["tracking"][2],
             intra_kind=intra_kind,
             rate_rps=load * self.capacity_rps,
         )

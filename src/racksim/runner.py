@@ -104,7 +104,6 @@ class RackRun:
                 list(spec.active0), policy, spec.tracking, table,
                 self.streams.get("sampling"), self.streams.get("loss"),
                 fallback_salt, rep_loss_prob=spec.rep_loss_prob,
-                double_count_prob=spec.double_count_prob,
                 trace_affinity=trace_affinity)
             for srv in self.servers:
                 srv.drop_sink = self.switch.mark_dropped

@@ -5,6 +5,10 @@ tracking mechanisms, a pipeline stage-budget model, and fault hooks.
 First packets (REQF, `route_reqf`) pick a server and record the mapping;
 subsequent packets (REQR, `route_reqr`) follow the mapping; final replies
 (REP, `note_rep`) clear it and update tracked load.
+There is one `route_reqf`: it selects over the request's class row of a
+per-class load table bound at construction. The rows are the tracked
+counters (int1, int3, proactive), the class's int2 (server, minimum) pair,
+or, for JBSQ, the switch's own outstanding counts shared by every class.
 A REQR whose mapping is missing (table overflow, post-failure) falls back to
 hash routing over the *physical* membership of the request's locality set so
 that every packet of a request still reaches one server.
@@ -256,18 +260,22 @@ def make_policy(kind: str, n_classes: int, salt: int, k: int = 2, bound: int = 3
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
+def _pick_int2(pair, elig, rnd, req):
+    """int2's select: the class's tracked (server, minimum) pair decides,
+    when that server is eligible for the request's locality set."""
+    return pair[0] if pair[0] in elig else elig[0]
+
+
 class Switch:
     """Switch state machine: returns forwarding decisions, never schedules."""
 
     def __init__(self, n_servers: int, n_classes: int, loc_sets: list[list[int]],
                  active: list[bool], policy, tracking: str, reqtable: ReqTable,
                  rnd_sampling, rnd_loss, fallback_salt: int,
-                 rep_loss_prob: float = 0.0, double_count_prob: float = 0.0,
-                 trace_affinity: bool = False):
+                 rep_loss_prob: float = 0.0, trace_affinity: bool = False):
         if tracking not in TRACKING_KINDS:
             raise SimulationError(f"unknown tracking kind {tracking!r}")
         self.n_servers = n_servers
-        self.n_classes = n_classes
         self.loc_sets = loc_sets            # physical membership, fixed per run
         self.active = active
         self.policy = policy
@@ -276,7 +284,6 @@ class Switch:
         self.rnd_loss = rnd_loss
         self.fallback_salt = fallback_salt
         self.rep_loss_prob = rep_loss_prob
-        self.double_count_prob = double_count_prob
 
         if tracking == INT3:
             self.counters = [[0.0] * n_servers for _ in range(n_classes)]
@@ -293,17 +300,18 @@ class Switch:
         self.elig: list[list[int]] = []
         self._rebuild_eligible()
 
-        # routing specialised to the tracking mode and policy, bound once
-        self._select = policy.select
+        # route_reqf selects over the request's class row of `_loads`, both
+        # bound once here; recover() resets the rows in place to keep them
         self._bounded = policy.uses_outstanding
         self._int2 = tracking == INT2
         self._proactive = tracking == PROACTIVE
         if self._int2:
-            self.route_reqf = self._route_int2
+            self._loads, self._select = self.int2, _pick_int2
         elif self._bounded:
-            self.route_reqf = self._route_bounded
+            self._loads = [self.outstanding] * n_classes
+            self._select = policy.select
         else:
-            self.route_reqf = self._route_counters
+            self._loads, self._select = self.counters, policy.select
 
         self.dispatch_hist = [0] * n_servers
         self.fallback_insert = 0
@@ -344,8 +352,9 @@ class Switch:
         for row in self.counters:
             for s in range(self.n_servers):
                 row[s] = 0
-        self.int2 = [[0, 0] for _ in range(self.n_classes)]
-        self.outstanding = [0] * self.n_servers
+        for pair in self.int2:
+            pair[:] = [0, 0]
+        self.outstanding[:] = [0] * self.n_servers
 
     def mark_dropped(self, req) -> None:
         self.drops += 1
@@ -368,44 +377,18 @@ class Switch:
         members = self.loc_sets[req.locality]
         return hash_pick(req.req_id, members, self.fallback_salt)
 
-    # route_reqf(req, now) picks a server for a first packet. It returns the
-    # server id, or None if dropped (switch down), or -1 if stalled (JBSQ at
-    # bound). The constructor binds one of the three variants below.
-
-    def _route_counters(self, req, now: float):
-        """Policy pick over the tracked load counters of the request's class."""
+    def route_reqf(self, req, now: float):
+        """Pick a server for a first packet: the bound `_select` over the
+        request's class row of `_loads`, within its eligible set. Returns the
+        server id, or None if dropped (switch down), or -1 if stalled (JBSQ
+        at bound)."""
         if self.failed:
             self.mark_dropped(req)
             return None
         elig = self.elig[req.locality]
         if not elig:
             raise SimulationError("no eligible server for locality class")
-        dst = self._select(self.counters[req.tag], elig, self.rnd_sampling, req)
-        return self._dispatch(req, dst, now)
-
-    def _route_int2(self, req, now: float):
-        """The class's single tracked (server, minimum) pair decides, when
-        that server is eligible for the request's locality set."""
-        if self.failed:
-            self.mark_dropped(req)
-            return None
-        elig = self.elig[req.locality]
-        if not elig:
-            raise SimulationError("no eligible server for locality class")
-        dst = self.int2[req.tag][0]
-        if dst not in elig:
-            dst = elig[0]
-        return self._dispatch(req, dst, now)
-
-    def _route_bounded(self, req, now: float):
-        """Pick over the switch's own outstanding counts; stall at the bound."""
-        if self.failed:
-            self.mark_dropped(req)
-            return None
-        elig = self.elig[req.locality]
-        if not elig:
-            raise SimulationError("no eligible server for locality class")
-        dst = self._select(self.outstanding, elig, self.rnd_sampling, req)
+        dst = self._select(self._loads[req.tag], elig, self.rnd_sampling, req)
         if dst is None:
             self.stalled.append(req.req_id)
             self._stall_buf[req.req_id] = (req, [])
@@ -424,11 +407,7 @@ class Switch:
             if dst == pair[0]:
                 pair[1] += 1  # the tracked minimum just received one more
         elif self._proactive:
-            row = self.counters[req.tag]
-            if self.double_count_prob > 0.0 and self.rnd_loss.random() < self.double_count_prob:
-                row[dst] += 2
-            else:
-                row[dst] += 1
+            self.counters[req.tag][dst] += 1
         if self._bounded:
             self.outstanding[dst] += 1
         self.dispatch_hist[dst] += 1
@@ -495,7 +474,7 @@ class Switch:
                     rid = self.stalled.popleft()
                     sreq, follow = self._stall_buf.pop(rid)
                     elig = self.elig[sreq.locality]
-                    dst = self._select(self.outstanding, elig,
+                    dst = self._select(self._loads[sreq.tag], elig,
                                        self.rnd_sampling, sreq)
                     if dst is None:
                         # released slot raced away; put it back at the head

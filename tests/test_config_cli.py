@@ -1,6 +1,7 @@
 """Config validation, run-spec resolution, and the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -8,7 +9,7 @@ from racksim.cli import main
 from racksim.config import ConfigError, ExperimentConfig
 from racksim.runner import CSV_COLUMNS
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, ROOT
 
 
 def base_raw(**over):
@@ -52,6 +53,35 @@ class TestDefaults:
         exp = parse(servers={"count": 4, "workers": 8,
                              "initial_active": [0, 2]})
         assert exp.capacity_rps == pytest.approx(16 / 50.0 * 1e6)
+
+
+class TestReadme:
+    BLOCKS = ("servers", "network", "tracking", "intra", "reqtable",
+              "pipeline", "sweep")
+
+    def test_config_table_lists_exactly_the_accepted_keys(self, monkeypatch):
+        import racksim.config as config
+        allowed = {}
+        check_keys = config._check_keys
+
+        def recording(block, keys, path):
+            allowed[path] = set(keys)
+            return check_keys(block, keys, path)
+
+        monkeypatch.setattr(config, "_check_keys", recording)
+        parse(servers={"count": 2}, network={}, tracking={"kind": "int1"},
+              intra={"kind": "ps"}, reqtable={"stages": 2}, pipeline={},
+              sweep={"loads": [0.5]})
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        listed = {}
+        for line in readme.splitlines():
+            m = re.match(r"\| `([a-z_]+)` \| (.*) \|$", line)
+            if m:
+                # keys are the backticked names outside the (default) notes
+                listed[m[1]] = set(re.findall(r"`([a-z_]+)`",
+                                              re.sub(r"\([^)]*\)", "", m[2])))
+        for block in self.BLOCKS:
+            assert listed[block] == allowed[block], block
 
 
 class TestRejection:
@@ -111,8 +141,16 @@ class TestRejection:
             ExperimentConfig.from_dict(raw)
 
     def test_jbsq_with_piggyback_tracking(self):
-        self.check("jbsq", policy={"kind": "jbsq"},
+        self.check(r"^tracking\.kind: jbsq", policy={"kind": "jbsq"},
                    tracking={"kind": "int3"})
+        raw = base_raw()
+        del raw["policy"]
+        raw["policies"] = {"s": {"kind": "shortest"},
+                           "j": {"kind": "jbsq", "tracking": {"kind": "int3"}}}
+        with pytest.raises(ConfigError, match=r"^policies\.j\.tracking\.kind: jbsq"):
+            ExperimentConfig.from_dict(raw)
+        self.check(r"^tracking\.rep_loss_prob: reply loss",
+                   policy={"kind": "jbsq"}, tracking={"rep_loss_prob": 0.01})
 
     def test_clients_override_only_for_client_kind(self):
         self.check("only valid", policy={"kind": "shortest", "clients": 10})

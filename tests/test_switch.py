@@ -413,6 +413,11 @@ class TestJBSQ:
             assert all(o <= 1 for o in sw.outstanding)
 
 
+def _int2_moved_to_server_2(sw):
+    sw.route_reqf(make_req(1), 0.0)          # pair (0, 1)
+    sw.note_rep(make_req(2), 2, 0, final=True, now=1.0)
+
+
 class TestFaults:
     def test_failed_switch_drops_everything(self):
         sw = make_switch("shortest")
@@ -436,6 +441,23 @@ class TestFaults:
         assert sw.reqtable.occupancy == 0
         assert sw.reqtable.read(1) == -1
         assert all(v == 0 for row in sw.counters for v in row)
+
+    @pytest.mark.parametrize("policy,tracking,n,load", [
+        ("shortest", INT1, 4,
+         lambda sw: sw.note_rep(make_req(1), 0, 9, final=True, now=1.0)),
+        ("shortest", PROACTIVE, 4, lambda sw: sw.route_reqf(make_req(1), 0.0)),
+        ("random", INT2, 4, _int2_moved_to_server_2),
+        ("jbsq", INT1, 2, lambda sw: [sw.route_reqf(make_req(r), 0.0)
+                                      for r in (1, 2)]),
+    ], ids=["int1", "proactive", "int2", "jbsq"])
+    def test_routes_as_empty_after_recover(self, policy, tracking, n, load):
+        """recover() zeroes in place every load row route_reqf reads; a
+        stale row would steer this request off server 0 or stall it."""
+        sw = make_switch(policy, tracking=tracking, n=n, bound=1)
+        load(sw)
+        sw.fail()
+        sw.recover()
+        assert sw.route_reqf(make_req(10), 2.0) == 0
 
     def test_fail_flushes_jbsq_stall_buffer(self):
         sw = make_switch("jbsq", bound=1, n=2)
