@@ -8,6 +8,7 @@ import sys
 
 from .config import ConfigError, ExperimentConfig
 from .runner import run_experiment
+from .switchsim import MAX_STAGES
 
 
 def _load(path: str) -> ExperimentConfig:
@@ -39,8 +40,7 @@ def cmd_validate(args) -> int:
     for vname in exp.variants:
         cost = exp.variant_stage_cost(vname)
         kind = exp.variants[vname]["kind"]
-        print(f"  variant {vname}: {kind}, {cost}/{exp.budget.max_stages} "
-              f"pipeline stages")
+        print(f"  variant {vname}: {kind}, {cost}/{MAX_STAGES} pipeline stages")
     print(f"  points: {n_points} ({len(exp.loads)} loads x {len(exp.seeds)} "
           f"seeds x {len(exp.variants)} variants)")
     return 0

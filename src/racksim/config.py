@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .server import DISCIPLINES
-from .switchsim import PipelineBudget, TRACKING_KINDS, stage_cost
+from .switchsim import MAX_STAGES, TRACKING_KINDS, stage_cost
 from .workload import ClassSpec, ServiceDistribution
 
 # rack-level baselines: dispatch at the clients, or one pooled server
@@ -137,8 +137,8 @@ class ExperimentConfig:
         self.raw = raw
         top = {
             "name", "servers", "network", "workload", "locality_sets",
-            "policy", "policies", "tracking", "intra", "reqtable", "pipeline",
-            "sweep", "timeline", "census_interval_us", "bucket_us",
+            "policy", "policies", "tracking", "intra", "reqtable", "sweep",
+            "timeline", "census_interval_us", "bucket_us",
         }
         _check_keys(raw, top, "config")
         self.name = raw.get("name", "experiment")
@@ -154,7 +154,6 @@ class ExperimentConfig:
         self._parse_variants(raw)
         self._parse_intra(raw.get("intra", {}))
         self._parse_reqtable(raw.get("reqtable", {}))
-        self._parse_pipeline(raw.get("pipeline", {}))
         self._parse_sweep(raw.get("sweep", {}))
         self._parse_timeline(raw.get("timeline", []))
 
@@ -341,17 +340,6 @@ class ExperimentConfig:
                              integer=True)
         self.rt_ttl_us = _num(block, "ttl_ms", "reqtable", 100.0, lo=1e-9) * 1000.0
 
-    def _parse_pipeline(self, block: dict):
-        _check_keys(block, {"max_stages", "comparisons_per_stage",
-                            "reads_per_stage"}, "pipeline")
-        self.budget = PipelineBudget(
-            max_stages=_num(block, "max_stages", "pipeline", 12, lo=1, integer=True),
-            comparisons_per_stage=_num(block, "comparisons_per_stage", "pipeline",
-                                       4, lo=1, integer=True),
-            reads_per_stage=_num(block, "reads_per_stage", "pipeline", 4, lo=1,
-                                 integer=True),
-        )
-
     def _parse_sweep(self, block: dict):
         _check_keys(block, {"loads", "seeds", "requests_per_point", "duration_us",
                             "warmup_fraction", "drain_us"}, "sweep")
@@ -430,9 +418,9 @@ class ExperimentConfig:
         for vname, v in self.variants.items():
             kind = v["kind"]
             cost = self.variant_stage_cost(vname)
-            if cost > self.budget.max_stages:
+            if cost > MAX_STAGES:
                 _fail(v["path"], f"policy needs {cost} pipeline stages, budget is "
-                      f"{self.budget.max_stages}")
+                      f"{MAX_STAGES}")
             if kind in RACK_BASELINES and uses_locality:
                 _fail("workload.classes",
                       f"locality sets are not meaningful under the {kind!r} baseline")
@@ -447,8 +435,8 @@ class ExperimentConfig:
                 _fail(f"{v['path']}.clients",
                       "cannot override the client count when wfq weights are "
                       "per client")
-            # bounded dispatch keeps its own outstanding counts, so piggyback
-            # tracking and reply loss would be dead config under jbsq
+            # jbsq counts its shared row proactively, so piggyback tracking
+            # and reply loss would be dead config under jbsq
             if kind == "jbsq" and v["tracking"][0] != "int1":
                 _fail(f"{v['tracking_path']}.kind", "jbsq tracks outstanding "
                       "replies itself; use int1 with jbsq")
@@ -461,7 +449,7 @@ class ExperimentConfig:
         kind = v["kind"]
         if kind in RACK_BASELINES:
             return 1  # pass-through forwarding only
-        return stage_cost(kind, self.n_servers, self.budget, k=v["k"])
+        return stage_cost(kind, self.n_servers, k=v["k"])
 
     def _capacity_rps(self) -> float:
         total_workers = sum(w for w, a in zip(self.workers, self.active0) if a)

@@ -223,8 +223,7 @@ class RackRun:
     def _ev_timeline(self, now: float, ev: dict):
         kind = ev["kind"]
         if kind == "switch_fail":
-            for req in self.switch.fail():
-                self.switch.mark_dropped(req)
+            self.switch.fail()
             self.sim.schedule(now + ev["duration_us"], self._ev_recover, None)
         elif kind == "add_server":
             sid = ev["server"]

@@ -120,7 +120,6 @@ class Server:
         self.outstanding = [0] * n_classes      # queued + running, per class
         self.rem_sum = [0.0] * n_classes        # remaining service, per class (int3)
         self.in_system = 0                      # queued + running
-        self.completed = 0
         self.failed = False
         self.partial: dict = {}                 # multi-packet reassembly
         self.drop_sink = None                   # set by the runner
@@ -285,7 +284,6 @@ class Server:
         if req.remaining <= 0.0:
             self.outstanding[tag] -= 1
             self.in_system -= 1
-            self.completed += 1
             group = req.group
             if group is None:
                 final = True

@@ -1,14 +1,17 @@
-"""Top-of-rack switch model: per-request scheduling over a LoadTable, a
+"""Top-of-rack switch model: per-request scheduling over a load table, a
 multi-stage request-affinity table, pluggable inter-server policies, load
 tracking mechanisms, a pipeline stage-budget model, and fault hooks.
 
 First packets (REQF, `route_reqf`) pick a server and record the mapping;
 subsequent packets (REQR, `route_reqr`) follow the mapping; final replies
 (REP, `note_rep`) clear it and update tracked load.
-There is one `route_reqf`: it selects over the request's class row of a
-per-class load table bound at construction. The rows are the tracked
-counters (int1, int3, proactive), the class's int2 (server, minimum) pair,
-or, for JBSQ, the switch's own outstanding counts shared by every class.
+There is one `route_reqf`: it selects over the request's class row of
+`loads`, a per-class load table built at construction. Its rows are the
+tracked counters (int1, int3, proactive), the class's int2 (server, minimum)
+pair, or, for JBSQ, one row of outstanding counts that every class shares.
+JBSQ counts that row as proactive tracking does: one up on dispatch, one
+down on the final reply. A request JBSQ cannot place waits in `stalled`, one
+FIFO map from req_id to the request and its buffered follow-on packets.
 A REQR whose mapping is missing (table overflow, post-failure) falls back to
 hash routing over the *physical* membership of the request's locality set so
 that every packet of a request still reaches one server.
@@ -20,8 +23,7 @@ PYTHONHASHSEED, so placement is reproducible across runs on one platform).
 from __future__ import annotations
 
 import sys
-from collections import deque
-from dataclasses import dataclass
+from collections import OrderedDict
 
 from .baselines import dispatch_random, hash_pick, least_of_k
 from .engine import SimulationError
@@ -30,28 +32,25 @@ from .engine import SimulationError
 INT1, INT2, INT3, PROACTIVE = "int1", "int2", "int3", "proactive"
 TRACKING_KINDS = (INT1, INT2, INT3, PROACTIVE)
 
-
-@dataclass(frozen=True)
-class PipelineBudget:
-    max_stages: int = 12
-    comparisons_per_stage: int = 4
-    reads_per_stage: int = 4
+# pipeline budget of the switch: stages, comparisons and reads per stage
+MAX_STAGES = 12
+COMPARISONS_PER_STAGE = 4
+READS_PER_STAGE = 4
 
 
-def stage_cost(policy_kind: str, n_servers: int, budget: PipelineBudget,
-               k: int = 0) -> int:
+def stage_cost(policy_kind: str, n_servers: int, k: int = 0) -> int:
     """Pipeline stages a policy consumes.
 
     A min-tree over s candidates costs sum over layers of
-    ceil(layer_width / comparisons_per_stage), with layer widths halving.
-    Sampling(k) prepends ceil(k / reads_per_stage) stages to read the
+    ceil(layer_width / COMPARISONS_PER_STAGE), with layer widths halving.
+    Sampling(k) prepends ceil(k / READS_PER_STAGE) stages to read the
     sampled counters.
     """
     def tree(s: int) -> int:
         stages = 0
         while s > 1:
             width = s // 2
-            stages += -(-width // budget.comparisons_per_stage)
+            stages += -(-width // COMPARISONS_PER_STAGE)
             s = s - width
         return stages
 
@@ -60,7 +59,7 @@ def stage_cost(policy_kind: str, n_servers: int, budget: PipelineBudget,
     if policy_kind in ("shortest", "jbsq"):
         return tree(n_servers)
     if policy_kind == "sampling":
-        reads = -(-k // budget.reads_per_stage)
+        reads = -(-k // READS_PER_STAGE)
         return reads + tree(k)
     raise ValueError(f"unknown policy kind {policy_kind!r}")
 
@@ -82,14 +81,13 @@ class ReqTable:
     of every stage.
     """
 
-    __slots__ = ("stages", "slots_per_stage", "salts", "_req", "_srv",
-                 "ttl_us", "_live")
+    __slots__ = ("slots_per_stage", "salts", "_req", "_srv", "ttl_us",
+                 "_live")
 
     def __init__(self, stages: int, slots_per_stage: int, salts: list[int],
                  ttl_us: float | None = None):
         if len(salts) != stages:
             raise SimulationError("one hash salt per stage required")
-        self.stages = stages
         self.slots_per_stage = slots_per_stage
         self.salts = salts
         self._req = [0] * (stages * slots_per_stage)
@@ -284,39 +282,34 @@ class Switch:
         self.rnd_loss = rnd_loss
         self.fallback_salt = fallback_salt
         self.rep_loss_prob = rep_loss_prob
-
-        if tracking == INT3:
-            self.counters = [[0.0] * n_servers for _ in range(n_classes)]
-        else:
-            self.counters = [[0] * n_servers for _ in range(n_classes)]
-        self.int2 = [[0, 0] for _ in range(n_classes)]   # (server, value) per class
-        self.outstanding = [0] * n_servers               # jbsq +/- counts
-        self.stalled: deque = deque()                    # jbsq FIFO of req_ids
         # req_id -> (first packet's request, [request of each buffered
-        # follow-on packet]); a group's members share one req_id
-        self._stall_buf: dict = {}
+        # follow-on packet]), in stall order; a group's members share one
+        # req_id
+        self.stalled: OrderedDict = OrderedDict()
         self.failed = False
 
         self.elig: list[list[int]] = []
         self._rebuild_eligible()
 
-        # route_reqf selects over the request's class row of `_loads`, both
-        # bound once here; recover() resets the rows in place to keep them
-        self._bounded = policy.uses_outstanding
-        self._int2 = tracking == INT2
-        self._proactive = tracking == PROACTIVE
-        if self._int2:
-            self._loads, self._select = self.int2, _pick_int2
-        elif self._bounded:
-            self._loads = [self.outstanding] * n_classes
-            self._select = policy.select
+        # route_reqf selects over the request's class row of `loads`, both
+        # bound once here; recover() zeroes the rows in place to keep them.
+        # JBSQ counts outstanding requests as proactive tracking does, over
+        # one row every class shares: `outstanding`, all zeros otherwise.
+        self.outstanding = [0] * n_servers
+        self._proactive = tracking == PROACTIVE or policy.uses_outstanding
+        self._int2 = tracking == INT2 and not self._proactive
+        self._select = _pick_int2 if self._int2 else policy.select
+        if policy.uses_outstanding:
+            self.loads = [self.outstanding] * n_classes
+        elif self._int2:
+            self.loads = [[0, 0] for _ in range(n_classes)]  # (server, value)
         else:
-            self._loads, self._select = self.counters, policy.select
+            zero = 0.0 if tracking == INT3 else 0
+            self.loads = [[zero] * n_servers for _ in range(n_classes)]
 
         self.dispatch_hist = [0] * n_servers
         self.fallback_insert = 0
         self.fallback_read = 0
-        self.drops = 0
         self.dropped_requests = 0
         self.deliveries: dict | None = {} if trace_affinity else None
         self.affinity_violations = 0
@@ -333,31 +326,22 @@ class Switch:
         self._rebuild_eligible()
 
     def fail(self):
-        """Switch goes dark: every packet is dropped until recover().
-        Returns the requests held in the JBSQ stall buffer, each once."""
+        """Switch goes dark: every packet is dropped until recover(), the
+        stalled ones included."""
         self.failed = True
-        stalled = []
-        for rid in self.stalled:
-            sreq, follow = self._stall_buf.pop(rid)
+        for sreq, follow in self.stalled.values():
             for req in (sreq, *follow):
-                if req not in stalled:
-                    stalled.append(req)
+                self.mark_dropped(req)
         self.stalled.clear()
-        return stalled
 
     def recover(self):
-        """Resume with empty ReqTable and zeroed LoadTable."""
+        """Resume with empty ReqTable and zeroed load table."""
         self.failed = False
         self.reqtable.clear()
-        for row in self.counters:
-            for s in range(self.n_servers):
-                row[s] = 0
-        for pair in self.int2:
-            pair[:] = [0, 0]
-        self.outstanding[:] = [0] * self.n_servers
+        for row in self.loads:
+            row[:] = [0] * len(row)
 
     def mark_dropped(self, req) -> None:
-        self.drops += 1
         if not req.dropped:
             req.dropped = True
             self.dropped_requests += 1
@@ -379,7 +363,7 @@ class Switch:
 
     def route_reqf(self, req, now: float):
         """Pick a server for a first packet: the bound `_select` over the
-        request's class row of `_loads`, within its eligible set. Returns the
+        request's class row of `loads`, within its eligible set. Returns the
         server id, or None if dropped (switch down), or -1 if stalled (JBSQ
         at bound)."""
         if self.failed:
@@ -388,10 +372,9 @@ class Switch:
         elig = self.elig[req.locality]
         if not elig:
             raise SimulationError("no eligible server for locality class")
-        dst = self._select(self._loads[req.tag], elig, self.rnd_sampling, req)
+        dst = self._select(self.loads[req.tag], elig, self.rnd_sampling, req)
         if dst is None:
-            self.stalled.append(req.req_id)
-            self._stall_buf[req.req_id] = (req, [])
+            self.stalled[req.req_id] = (req, [])
             return -1
         return self._dispatch(req, dst, now)
 
@@ -403,13 +386,11 @@ class Switch:
             req.fallback = True
             dst = self._fallback(req)
         if self._int2:
-            pair = self.int2[req.tag]
+            pair = self.loads[req.tag]
             if dst == pair[0]:
                 pair[1] += 1  # the tracked minimum just received one more
         elif self._proactive:
-            self.counters[req.tag][dst] += 1
-        if self._bounded:
-            self.outstanding[dst] += 1
+            self.loads[req.tag][dst] += 1
         self.dispatch_hist[dst] += 1
         if self.deliveries is not None:
             self._trace(req.req_id, dst)
@@ -424,7 +405,7 @@ class Switch:
             self.mark_dropped(req)
             return None
         rid = req.req_id
-        buf = self._stall_buf.get(rid)
+        buf = self.stalled.get(rid)
         if buf is not None:
             buf[1].append(req)
             return -1
@@ -439,10 +420,11 @@ class Switch:
 
     def note_rep(self, req, src: int, load_report: float, final: bool, now: float):
         """Process a reply passing through: clear the mapping, update tracked
-        load, release a stalled request if JBSQ. Returns (delivered, release)
-        where release is None or (req, dst, follow): `follow` holds, in
-        arrival order, the request of each follow-on packet buffered with
-        it, its own trailing packets and its group's other members alike."""
+        load, release the head of the stall FIFO if it now places. Returns
+        (delivered, release) where release is None or (req, dst, follow):
+        `follow` holds, in arrival order, the request of each follow-on
+        packet buffered with it, its own trailing packets and its group's
+        other members alike."""
         if self.failed:
             self.mark_dropped(req)
             return False, None
@@ -451,35 +433,25 @@ class Switch:
             self.reqtable.remove(req.req_id, req.slot)
             if self.rep_loss_prob > 0.0 and self.rnd_loss.random() < self.rep_loss_prob:
                 pass  # reply's tracking effect lost (retransmission cleans up)
-            else:
-                c = req.tag
-                if self._int2:
-                    # replace the stored server's value, or the pair if smaller
-                    pair = self.int2[c]
-                    if src == pair[0]:
-                        pair[1] = load_report
-                    elif load_report < pair[1]:
-                        pair[0] = src
-                        pair[1] = load_report
-                elif self._proactive:
-                    row = self.counters[c]
-                    if row[src] > 0:
-                        row[src] -= 1
-                else:  # INT1, INT3: the report overwrites
-                    self.counters[c][src] = load_report
-            if self._bounded:
-                if self.outstanding[src] > 0:
-                    self.outstanding[src] -= 1
-                if self.stalled:
-                    rid = self.stalled.popleft()
-                    sreq, follow = self._stall_buf.pop(rid)
-                    elig = self.elig[sreq.locality]
-                    dst = self._select(self._loads[sreq.tag], elig,
-                                       self.rnd_sampling, sreq)
-                    if dst is None:
-                        # released slot raced away; put it back at the head
-                        self.stalled.appendleft(rid)
-                        self._stall_buf[rid] = (sreq, follow)
-                    else:
-                        release = (sreq, self._dispatch(sreq, dst, now), follow)
+            elif self._int2:
+                # replace the stored server's value, or the pair if smaller
+                pair = self.loads[req.tag]
+                if src == pair[0]:
+                    pair[1] = load_report
+                elif load_report < pair[1]:
+                    pair[0] = src
+                    pair[1] = load_report
+            elif self._proactive:
+                row = self.loads[req.tag]
+                if row[src] > 0:
+                    row[src] -= 1
+            else:  # INT1, INT3: the report overwrites
+                self.loads[req.tag][src] = load_report
+            if self.stalled:
+                sreq, follow = next(iter(self.stalled.values()))
+                dst = self._select(self.loads[sreq.tag], self.elig[sreq.locality],
+                                   self.rnd_sampling, sreq)
+                if dst is not None:
+                    self.stalled.popitem(last=False)
+                    release = (sreq, self._dispatch(sreq, dst, now), follow)
         return True, release

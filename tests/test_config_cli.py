@@ -32,7 +32,7 @@ class TestDefaults:
         assert exp.clients == 4 and exp.gap_us == 1.0
         assert exp.tracking == "int1" and exp.intra_kind == "cfcfs"
         assert (exp.rt_stages, exp.rt_slots, exp.rt_ttl_us) == (4, 16384, 100000.0)
-        assert exp.budget.max_stages == 12
+        assert exp.variant_stage_cost("default") == 3  # min-tree over 8
         assert exp.loads == [0.5] and exp.seeds == [1]
         assert exp.warmup_fraction == 0.1
 
@@ -56,8 +56,7 @@ class TestDefaults:
 
 
 class TestReadme:
-    BLOCKS = ("servers", "network", "tracking", "intra", "reqtable",
-              "pipeline", "sweep")
+    BLOCKS = ("servers", "network", "tracking", "intra", "reqtable", "sweep")
 
     def test_config_table_lists_exactly_the_accepted_keys(self, monkeypatch):
         import racksim.config as config
@@ -70,7 +69,7 @@ class TestReadme:
 
         monkeypatch.setattr(config, "_check_keys", recording)
         parse(servers={"count": 2}, network={}, tracking={"kind": "int1"},
-              intra={"kind": "ps"}, reqtable={"stages": 2}, pipeline={},
+              intra={"kind": "ps"}, reqtable={"stages": 2},
               sweep={"loads": [0.5]})
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         listed = {}
@@ -114,7 +113,11 @@ class TestRejection:
             "modes": [[0.9, 50.0], [0.1, 100.0]]}})
 
     def test_policy_exceeding_pipeline_budget(self):
-        self.check("pipeline stages", pipeline={"max_stages": 1})
+        # a min-tree over 64 servers needs 17 of the 12 stages
+        self.check("17 pipeline stages", servers={"count": 64})
+
+    def test_pipeline_block_is_an_unknown_key(self):
+        self.check(r"config\.pipeline: unknown key", pipeline={})
 
     def test_sampling_width_bounded_by_servers(self):
         self.check(r"policy\.k", policy={"kind": "sampling", "k": 64})
@@ -258,7 +261,7 @@ class TestCli:
             assert "ok" in out and "capacity" in out
 
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, base_raw(pipeline={"max_stages": 1}))
+        cfg = write_config(tmp_path, base_raw(servers={"count": 64}))
         with pytest.raises(SystemExit) as exc:
             main(["validate", cfg])
         assert exc.value.code == 1

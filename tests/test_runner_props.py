@@ -2,9 +2,10 @@
 
 import pytest
 
-from racksim.config import ExperimentConfig
+from racksim.config import POLICY_KINDS, RACK_BASELINES, ExperimentConfig
 from racksim.runner import RackRun, run_point
 from racksim.server import DISCIPLINES
+from racksim.switchsim import TRACKING_KINDS
 
 from conftest import run_traced
 
@@ -295,3 +296,34 @@ def test_every_discipline_runs_from_a_config(intra):
     assert rec.injected == rec.completed + rec.dropped
     for srv in rr.servers:
         assert srv.in_system == srv.busy == 0
+
+
+@pytest.mark.parametrize("policy,tracking", [
+    (p, t) for p in POLICY_KINDS if p not in RACK_BASELINES
+    for t in TRACKING_KINDS if p != "jbsq" or t == "int1"])
+def test_every_policy_and_tracking_runs_from_a_config(policy, tracking):
+    # each switch policy under each tracking config accepts, over a pinned
+    # class and a 2-packet class, loses no request and leaves the switch
+    # and every server empty, and counted load rows back at zero
+    service = {"kind": "exponential", "mean_us": 30.0}
+    raw = {
+        "name": f"wiring-{policy}-{tracking}",
+        "servers": {"count": 2, "workers": 2},
+        "locality_sets": {"one": [1]},
+        "workload": {"clients": 2, "classes": [
+            {"tag": "pinned", "locality": "one", "service": service},
+            {"tag": "pair", "packets": 2, "service": service}]},
+        "policy": {"kind": policy},
+        "tracking": {"kind": tracking},
+        "sweep": {"loads": [0.5], "seeds": [1], "requests_per_point": 2000},
+    }
+    rr = RackRun(ExperimentConfig.from_dict(raw).build_runspec("default", 0.5, 1))
+    rec = rr.run()
+    assert rec.completed > 0
+    assert rec.injected == rec.completed + rec.dropped
+    for srv in rr.servers:
+        assert srv.in_system == srv.busy == 0
+    sw = rr.switch
+    assert sw.reqtable.occupancy == 0 and not sw.stalled
+    if tracking == "proactive" or policy == "jbsq":
+        assert all(v == 0 for row in sw.loads for v in row)

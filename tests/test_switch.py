@@ -6,8 +6,7 @@ import pytest
 
 from racksim.baselines import ClientView
 from racksim.switchsim import (
-    INT1, INT2, INT3, PROACTIVE, PipelineBudget, ReqTable, Switch,
-    make_policy, stage_cost)
+    INT1, INT2, INT3, PROACTIVE, ReqTable, Switch, make_policy, stage_cost)
 from racksim.workload import Group, Request
 
 
@@ -40,25 +39,27 @@ def make_switch(policy_kind="shortest", tracking=INT1, n=4, k=2, bound=2,
 
 
 class TestStageCost:
-    BUDGET = PipelineBudget(12, 4, 4)
-
     def test_stateless_policies_cost_one_stage(self):
         for kind in ("random", "hash", "rr"):
-            assert stage_cost(kind, 8, self.BUDGET) == 1
+            assert stage_cost(kind, 8) == 1
 
     def test_min_tree_over_eight(self):
-        assert stage_cost("shortest", 8, self.BUDGET) == 3
+        assert stage_cost("shortest", 8) == 3
 
     def test_min_tree_over_two(self):
-        assert stage_cost("shortest", 2, self.BUDGET) == 1
+        assert stage_cost("shortest", 2) == 1
 
     def test_sampling_read_stages_plus_tree(self):
-        tight = PipelineBudget(12, 2, 2)
-        assert stage_cost("sampling", 8, tight, k=4) == 4
+        # 8 reads at 4 per stage, then a tree over 8 -> 2 + 3
+        assert stage_cost("sampling", 64, k=8) == 5
 
     def test_wide_layers_split(self):
         # 16 candidates, 4 comparisons/stage: layers 8,4,2,1 -> 2+1+1+1
-        assert stage_cost("shortest", 16, self.BUDGET) == 5
+        assert stage_cost("shortest", 16) == 5
+
+    def test_shortest_over_64_exceeds_the_budget(self):
+        # layers 32,16,8,4,2,1 -> 8+4+2+1+1+1
+        assert stage_cost("shortest", 64) == 17
 
 
 # -- request table -------------------------------------------------------------
@@ -207,7 +208,7 @@ class TestRouting:
         req = make_req(1)
         dst = sw.route_reqf(req, 0.0)
         for s in range(sw.n_servers):  # make every other server look idle
-            sw.counters[0][s] = 0 if s != dst else 99
+            sw.loads[0][s] = 0 if s != dst else 99
         assert sw.route_reqr(req) == dst
 
     def test_final_rep_removes_mapping(self):
@@ -232,7 +233,7 @@ class TestRouting:
                          for _ in range(2))
         dst = sw.route_reqf(first, 0.0)
         for s in range(sw.n_servers):  # make every other server look idle
-            sw.counters[0][s] = 0 if s != dst else 99
+            sw.loads[0][s] = 0 if s != dst else 99
         assert sw.route_reqr(second) == dst  # shares the first's req_id
         assert sw.fallback_read == 0
         sw.note_rep(second, dst, 0, final=True, now=1.0)  # last to finish
@@ -262,9 +263,9 @@ class TestRouting:
 
     def test_locality_restricts_eligible_set(self):
         sw = make_switch("shortest", loc_sets=[[0, 1, 2, 3], [2, 3]])
-        sw.counters[0][0] = 0
-        sw.counters[0][2] = 5
-        sw.counters[0][3] = 7
+        sw.loads[0][0] = 0
+        sw.loads[0][2] = 5
+        sw.loads[0][3] = 7
         req = make_req(1, locality=1)
         assert sw.route_reqf(req, 0.0) == 2  # best within the set, not global
 
@@ -280,31 +281,31 @@ class TestTracking:
         sw = make_switch("shortest", tracking=INT1)
         req = make_req(1)
         dst = sw.route_reqf(req, 0.0)
-        sw.counters[0][dst] = 3
+        sw.loads[0][dst] = 3
         sw.note_rep(req, dst, 7, final=True, now=1.0)
-        assert sw.counters[0][dst] == 7
+        assert sw.loads[0][dst] == 7
 
     def test_int1_not_updated_at_dispatch(self):
         sw = make_switch("shortest", tracking=INT1)
-        before = [row[:] for row in sw.counters]
+        before = [row[:] for row in sw.loads]
         sw.route_reqf(make_req(1), 0.0)
-        assert sw.counters == before
+        assert sw.loads == before
 
     def test_int3_stores_remaining_microseconds(self):
         sw = make_switch("shortest", tracking=INT3)
         req = make_req(1)
         dst = sw.route_reqf(req, 0.0)
         sw.note_rep(req, dst, 123.5, final=True, now=1.0)
-        assert sw.counters[0][dst] == 123.5
+        assert sw.loads[0][dst] == 123.5
 
     def test_proactive_counts_in_lockstep(self):
         sw = make_switch("random", tracking=PROACTIVE)
         reqs = [make_req(r) for r in range(1, 30)]
         dsts = [sw.route_reqf(r, 0.0) for r in reqs]
         for r, d in zip(reqs, dsts):
-            assert sw.counters[0][d] >= 1
+            assert sw.loads[0][d] >= 1
             sw.note_rep(r, d, 0, final=True, now=1.0)
-        assert all(v == 0 for v in sw.counters[0])
+        assert all(v == 0 for v in sw.loads[0])
 
     def test_proactive_skips_decrement_on_lost_rep(self):
         sw = make_switch("random", tracking=PROACTIVE, rep_loss_prob=1.0)
@@ -312,7 +313,7 @@ class TestTracking:
         dst = sw.route_reqf(req, 0.0)
         delivered, _ = sw.note_rep(req, dst, 0, final=True, now=1.0)
         assert delivered  # the reply still reaches the client
-        assert sw.counters[0][dst] == 1  # but the decrement was lost
+        assert sw.loads[0][dst] == 1  # but the decrement was lost
         assert sw.reqtable.read(1) == -1  # mapping removal is not lossy
 
     def test_proactive_never_goes_negative(self):
@@ -321,11 +322,11 @@ class TestTracking:
         dst = sw.route_reqf(req, 0.0)
         sw.recover()  # zeroes counters while the request is in flight
         sw.note_rep(req, dst, 0, final=True, now=1.0)
-        assert sw.counters[0][dst] == 0
+        assert sw.loads[0][dst] == 0
 
     def test_int2_tracks_minimum_pair(self):
         sw = make_switch("random", tracking=INT2)
-        pair = sw.int2[0]
+        pair = sw.loads[0]
         r1 = make_req(1)
         sw.route_reqf(r1, 0.0)  # forced to pair server, bumps stored value
         assert pair[0] == 0 and pair[1] == 1
@@ -339,13 +340,13 @@ class TestTracking:
 
     def test_int2_dispatches_to_tracked_server(self):
         sw = make_switch("random", tracking=INT2)
-        sw.int2[0][:] = [3, 0]
+        sw.loads[0][:] = [3, 0]
         picks = {sw.route_reqf(make_req(r), 0.0) for r in range(1, 20)}
         assert picks == {3}
 
     def test_int2_stays_inside_the_locality_set(self):
         sw = make_switch("random", tracking=INT2, loc_sets=[[0, 1, 2, 3], [2, 3]])
-        assert sw.int2[0][0] == 0          # the tracked server is outside set 1
+        assert sw.loads[0][0] == 0          # the tracked server is outside set 1
         picks = {sw.route_reqf(make_req(r, locality=1), 0.0)
                  for r in range(1, 20)}
         assert picks == {2}
@@ -355,7 +356,7 @@ class TestTracking:
         req = make_req(1)
         dst = sw.route_reqf(req, 0.0)
         sw.note_rep(req, dst, 50, final=True, now=1.0)
-        assert sw.counters[0][dst] == 0
+        assert sw.loads[0][dst] == 0
 
 
 class TestJBSQ:
@@ -394,7 +395,7 @@ class TestJBSQ:
                                            now=1.0)
         assert sreq is first and follow == [first, second, second]
 
-    def test_fail_returns_each_stalled_member_once(self):
+    def test_fail_drops_each_stalled_member_once(self):
         sw = self.make()
         sw.route_reqf(make_req(1), 0.0)
         sw.route_reqf(make_req(2), 0.0)
@@ -404,7 +405,31 @@ class TestJBSQ:
         sw.route_reqf(first, 0.0)
         for req in (first, second, second):
             sw.route_reqr(req)
-        assert sw.fail() == [first, second]
+        sw.fail()
+        assert first.dropped and second.dropped
+        assert sw.dropped_requests == 2 and not sw.stalled
+
+    def test_every_class_shares_one_row(self):
+        sw = self.make()
+        assert sw.loads[0] is sw.loads[1] is sw.outstanding
+        assert sw.route_reqf(make_req(1, tag=0), 0.0) == 0
+        assert sw.route_reqf(make_req(2, tag=0), 0.0) == 1
+        # class 1 has sent nothing, yet class 0 has filled both servers
+        assert sw.route_reqf(make_req(3, tag=1), 0.0) == -1
+        assert list(sw.stalled) == [3]
+
+    def test_stalled_head_blocks_the_requests_behind_it(self):
+        sw = make_switch("jbsq", bound=1, n=2, loc_sets=[[0, 1], [1]])
+        r1, r2 = make_req(1), make_req(2)
+        r3, r4 = make_req(3, locality=1), make_req(4)
+        assert [sw.route_reqf(r, 0.0) for r in (r1, r2, r3, r4)] == \
+            [0, 1, -1, -1]
+        # server 0 frees a slot, but the head may only go to server 1, and
+        # request 4 behind it is not considered
+        assert sw.note_rep(r1, 0, 0, final=True, now=1.0) == (True, None)
+        assert list(sw.stalled) == [3, 4] and sw.outstanding == [0, 1]
+        _, release = sw.note_rep(r2, 1, 0, final=True, now=2.0)
+        assert release[:2] == (r3, 1) and list(sw.stalled) == [4]
 
     def test_outstanding_never_exceeds_bound(self):
         sw = self.make()
@@ -435,12 +460,12 @@ class TestFaults:
         sw = make_switch("shortest")
         req = make_req(1)
         dst = sw.route_reqf(req, 0.0)
-        sw.counters[0][dst] = 9
+        sw.loads[0][dst] = 9
         sw.fail()
         sw.recover()
         assert sw.reqtable.occupancy == 0
         assert sw.reqtable.read(1) == -1
-        assert all(v == 0 for row in sw.counters for v in row)
+        assert all(v == 0 for row in sw.loads for v in row)
 
     @pytest.mark.parametrize("policy,tracking,n,load", [
         ("shortest", INT1, 4,
@@ -461,11 +486,12 @@ class TestFaults:
 
     def test_fail_flushes_jbsq_stall_buffer(self):
         sw = make_switch("jbsq", bound=1, n=2)
-        for r in range(1, 4):
-            sw.route_reqf(make_req(r), 0.0)
-        stalled = sw.fail()
-        assert [r.req_id for r in stalled] == [3]
-        assert not sw.stalled and not sw._stall_buf
+        reqs = [make_req(r) for r in range(1, 4)]
+        for req in reqs:
+            sw.route_reqf(req, 0.0)
+        sw.fail()
+        assert [r.req_id for r in reqs if r.dropped] == [3]
+        assert sw.dropped_requests == 1 and not sw.stalled
 
 
 class TestAffinityTrace:
