@@ -23,9 +23,12 @@ def hash_pick(req_id: int, eligible: list[int], salt: int) -> int:
 def least_of_k(loads, eligible: list[int], k: int, rnd: Random) -> int:
     """Power-of-k-choices: k distinct eligible servers sampled uniformly,
     least load wins, lowest index on ties. With k >= len(eligible) every
-    eligible server is a candidate and no random number is drawn."""
+    eligible server is a candidate, the first minimum in eligible order wins
+    and no random number is drawn."""
     n = len(eligible)
     if k >= n:
+        # an explicit loop: min(eligible, key=loads.__getitem__) gives the
+        # same answer but measured about twice as slow over 8 servers
         best = eligible[0]
         bl = loads[best]
         for s in eligible:

@@ -69,20 +69,20 @@ class ReqTable:
 
     Insert probes each stage at that stage's hash of req_id and takes the
     first empty slot; a request whose probes are all occupied is not stored
-    (the caller falls back to hash routing). Live slots are indexed with
-    their insertion times, so TTL purging of stale mappings looks only at
-    the few live entries, never at the whole table.
+    (the caller falls back to hash routing).
 
-    Stages are laid out back to back in one flat list, so a slot number
-    names both the stage and the index. `place` returns the slot it filled;
-    a caller that keeps it can read and remove the mapping without hashing
-    again. A req_id is placed at most once, so it can only ever sit in that
-    slot, and a slot-hinted read or remove gives the same answer as a probe
-    of every stage.
+    Stages are numbered back to back, so a slot number names both the stage
+    and the index. Only live mappings are stored, in one dict from slot to
+    (req_id, server, insert time): an absent slot is an empty one, so set-up
+    and memory follow the requests in flight, not stages x slots, and TTL
+    purging looks only at the live entries. `place` returns the slot it
+    filled; a caller that keeps it can read and remove the mapping without
+    hashing again. A req_id is placed at most once, so it can only ever sit
+    in that slot, and a slot-hinted read or remove gives the same answer as a
+    probe of every stage.
     """
 
-    __slots__ = ("slots_per_stage", "salts", "_req", "_srv", "ttl_us",
-                 "_live")
+    __slots__ = ("slots_per_stage", "salts", "ttl_us", "_live")
 
     def __init__(self, stages: int, slots_per_stage: int, salts: list[int],
                  ttl_us: float | None = None):
@@ -90,10 +90,9 @@ class ReqTable:
             raise SimulationError("one hash salt per stage required")
         self.slots_per_stage = slots_per_stage
         self.salts = salts
-        self._req = [0] * (stages * slots_per_stage)
-        self._srv = [0] * (stages * slots_per_stage)
         self.ttl_us = ttl_us
-        self._live: dict[int, float] = {}       # occupied slot -> insert time
+        # occupied slot -> (req_id, server, insert time)
+        self._live: dict[int, tuple[int, int, float]] = {}
 
     @property
     def occupancy(self) -> int:
@@ -101,11 +100,11 @@ class ReqTable:
 
     def _find(self, req_id: int) -> int:
         m = self.slots_per_stage
-        reqs = self._req
+        live = self._live
         base = 0
         for salt in self.salts:
             slot = base + hash((req_id, salt)) % m
-            if reqs[slot] == req_id:
+            if slot in live and live[slot][0] == req_id:
                 return slot
             base += m
         return -1
@@ -114,14 +113,12 @@ class ReqTable:
         """Store the mapping; returns its slot, or -1 if every probe was
         occupied."""
         m = self.slots_per_stage
-        reqs = self._req
+        live = self._live
         base = 0
         for salt in self.salts:
             slot = base + hash((req_id, salt)) % m
-            if reqs[slot] == 0:
-                reqs[slot] = req_id
-                self._srv[slot] = server
-                self._live[slot] = now
+            if slot not in live:
+                live[slot] = (req_id, server, now)
                 return slot
             base += m
         return -1
@@ -132,23 +129,25 @@ class ReqTable:
         the first member's req_id and mapping."""
         if slot is None:
             slot = self._find(req_id)
-        if slot >= 0 and self._req[slot] == req_id:
-            return self._srv[slot]
+        live = self._live
+        if slot in live:
+            entry = live[slot]
+            if entry[0] == req_id:
+                return entry[1]
         return -1
 
     def remove(self, req_id: int, slot: int | None = None) -> bool:
         if slot is None:
             slot = self._find(req_id)
-        if slot >= 0 and self._req[slot] == req_id:
-            self._req[slot] = 0
-            del self._live[slot]
+        live = self._live
+        if slot in live and live[slot][0] == req_id:
+            del live[slot]
             return True
         return False
 
     def _drop(self, slots) -> int:
-        reqs, live = self._req, self._live
+        live = self._live
         for slot in slots:
-            reqs[slot] = 0
             del live[slot]
         return len(slots)
 
@@ -157,17 +156,16 @@ class ReqTable:
         if self.ttl_us is None:
             return 0
         horizon = now - self.ttl_us
-        return self._drop([slot for slot, t in self._live.items()
-                           if t <= horizon])
+        return self._drop([slot for slot, e in self._live.items()
+                           if e[2] <= horizon])
 
     def purge_server(self, server: int) -> int:
         """Drop every mapping onto one (failed) server."""
-        srvs = self._srv
-        return self._drop([slot for slot in self._live
-                           if srvs[slot] == server])
+        return self._drop([slot for slot, e in self._live.items()
+                           if e[1] == server])
 
     def clear(self) -> None:
-        self._drop(list(self._live))
+        self._live.clear()
 
 
 # A policy's select(loads, elig, rnd, req) picks a server for `req` from

@@ -1,11 +1,14 @@
 """Random/hash dispatch helpers and the stale per-client view."""
 
 import random
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from racksim.baselines import ClientView, dispatch_random, hash_pick
+from racksim.baselines import ClientView, dispatch_random, hash_pick, least_of_k
 
 
 def test_dispatch_random_uniform():
@@ -75,3 +78,33 @@ def test_client_view_general_k():
     # server 3 wins whenever sampled: P = 1 - C(7,3)/C(8,3) = 3/8
     assert hits / 2000 == pytest.approx(3 / 8, abs=0.04)
 
+
+class NoDraws:
+    """A random source that must not be used."""
+
+    def random(self):
+        raise AssertionError("a full scan drew a random number")
+
+
+@st.composite
+def full_scans(draw):
+    """(loads, eligible, k) with k >= len(eligible): int loads (tracked
+    counts) or int3-style float loads, drawn from a few values so ties are
+    common, and the eligible servers in any order."""
+    n = draw(st.integers(1, 8))
+    value = draw(st.sampled_from([st.integers(0, 2),
+                                  st.sampled_from([0.0, 2.5, 7.0])]))
+    loads = draw(st.lists(value, min_size=n, max_size=n))
+    eligible = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    k = draw(st.sampled_from([len(eligible), len(eligible) + 1, sys.maxsize]))
+    return loads, eligible, k
+
+
+@given(full_scans())
+def test_least_of_k_full_scan_keeps_the_first_minimum(case):
+    loads, eligible, k = case
+    best = eligible[0]
+    for s in eligible:
+        if loads[s] < loads[best]:
+            best = s
+    assert least_of_k(loads, eligible, k, NoDraws()) == best

@@ -1,8 +1,11 @@
 """Switch semantics: policies, request table, tracking, faults, affinity."""
 
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racksim.baselines import ClientView
 from racksim.switchsim import (
@@ -132,6 +135,132 @@ class TestReqTable:
         assert t.place(44, 7, now=120.0) == a  # the slot is reused
         assert t.read(11, a) == -1 and t.read(44, a) == 7
         assert t.remove(22, b) and t.occupancy == 1
+
+
+class StageModel:
+    """Brute-force reference for ReqTable: one list per stage, each entry
+    None or (req_id, server, insert time), slots numbered stage by stage."""
+
+    def __init__(self, stages, slots, salts, ttl_us):
+        self.m, self.salts, self.ttl_us = slots, salts, ttl_us
+        self.stages = [[None] * slots for _ in range(stages)]
+
+    def _at(self, slot):
+        stage, index = divmod(slot, self.m)
+        return self.stages[stage], index
+
+    def _slot_of(self, req_id, hint):
+        if hint is not None:
+            if hint < 0:
+                return -1
+            row, i = self._at(hint)
+            return hint if row[i] is not None and row[i][0] == req_id else -1
+        for stage, salt in enumerate(self.salts):
+            i = hash((req_id, salt)) % self.m
+            e = self.stages[stage][i]
+            if e is not None and e[0] == req_id:
+                return stage * self.m + i
+        return -1
+
+    def place(self, req_id, server, now):
+        for stage, salt in enumerate(self.salts):
+            i = hash((req_id, salt)) % self.m
+            if self.stages[stage][i] is None:
+                self.stages[stage][i] = (req_id, server, now)
+                return stage * self.m + i
+        return -1
+
+    def read(self, req_id, hint):
+        slot = self._slot_of(req_id, hint)
+        if slot < 0:
+            return -1
+        row, i = self._at(slot)
+        return row[i][1]
+
+    def remove(self, req_id, hint):
+        slot = self._slot_of(req_id, hint)
+        if slot < 0:
+            return False
+        row, i = self._at(slot)
+        row[i] = None
+        return True
+
+    def _drop_if(self, pred):
+        n = 0
+        for row in self.stages:
+            for i, e in enumerate(row):
+                if e is not None and pred(e):
+                    row[i] = None
+                    n += 1
+        return n
+
+    def purge_stale(self, now):
+        if self.ttl_us is None:
+            return 0
+        return self._drop_if(lambda e: e[2] <= now - self.ttl_us)
+
+    def purge_server(self, server):
+        return self._drop_if(lambda e: e[1] == server)
+
+    def clear(self):
+        self._drop_if(lambda e: True)
+
+    @property
+    def occupancy(self):
+        return sum(e is not None for row in self.stages for e in row)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_reqtable_matches_a_per_stage_reference(data):
+    stages = data.draw(st.integers(1, 3), label="stages")
+    slots = data.draw(st.integers(1, 4), label="slots")
+    ttl = data.draw(st.one_of(st.none(), st.integers(1, 6)), label="ttl")
+    salts = [101 + 7 * i for i in range(stages)]
+    table = ReqTable(stages, slots, list(salts), ttl_us=ttl)
+    model = StageModel(stages, slots, salts, ttl)
+    rids = st.integers(1, 8)
+    hints = st.one_of(st.none(), st.integers(-1, stages * slots - 1))
+    now = 0
+    for _ in range(data.draw(st.integers(0, 40), label="steps")):
+        now += data.draw(st.integers(0, 2))
+        op = data.draw(st.sampled_from(
+            ["place", "read", "remove", "purge_stale", "purge_server",
+             "clear"]))
+        if op == "place":
+            rid, srv = data.draw(rids), data.draw(st.integers(0, 3))
+            assert table.place(rid, srv, now) == model.place(rid, srv, now)
+        elif op in ("read", "remove"):
+            rid, hint = data.draw(rids), data.draw(hints)
+            got = (getattr(table, op)(rid) if hint is None
+                   else getattr(table, op)(rid, hint))
+            assert got == getattr(model, op)(rid, hint)
+        elif op == "purge_stale":
+            assert table.purge_stale(now) == model.purge_stale(now)
+        elif op == "purge_server":
+            srv = data.draw(st.integers(0, 3))
+            assert table.purge_server(srv) == model.purge_server(srv)
+        else:
+            table.clear()
+            model.clear()
+        assert table.occupancy == model.occupancy
+
+
+def test_reqtable_memory_follows_live_mappings():
+    salts = [1, 2, 3, 4]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = ReqTable(4, 1 << 16, salts)
+        built = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert built < 64 * 1024, f"constructing the table allocated {built} B"
+    slots = [t.place(rid, rid % 8, now=float(rid)) for rid in range(1, 1001)]
+    assert all(s >= 0 for s in slots) and t.occupancy == 1000
+    for rid, slot in zip(range(1, 1001), slots):
+        assert t.remove(rid, slot)
+    assert t.occupancy == 0
 
 
 # -- policy decisions ----------------------------------------------------------
