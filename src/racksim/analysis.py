@@ -184,13 +184,15 @@ class MetricsRecord:
     """Everything measured in one simulation run.
 
     Latency samples are completion - send time, in microseconds, for requests
-    whose send time fell inside the measurement window. Lists are indexed by
-    class position in the run's class list.
+    whose send time fell inside the measurement window, kept per class in an
+    `array('d')` (8 B a sample; any float sequence works, and a list gives
+    the same summaries). Per-class fields are indexed by class position in
+    the run's class list.
     """
 
     class_tags: list
     window: tuple                       # (start_us, end_us) of measurement
-    samples: list                       # per class: list of latency samples
+    samples: list                       # per class: array('d') of latency samples
     arrivals: list                      # per class: measured sends
     completions: list                   # per class: measured completions
     fallbacks: list                     # per class: measured fallback-path reqs

@@ -19,6 +19,13 @@ def _load(path: str) -> ExperimentConfig:
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def cmd_run(args) -> int:
     exp = _load(args.config)
     log = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
@@ -97,8 +104,9 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a sweep config, write CSVs")
     p_run.add_argument("config", help="experiment config (JSON)")
     p_run.add_argument("--out", default="results", help="output directory")
-    p_run.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="worker processes for sweep points")
+    p_run.add_argument("--parallel", type=_positive_int, default=1, metavar="N",
+                       help="worker processes for sweep points (at most one "
+                            "per point)")
     p_run.add_argument("--quiet", action="store_true",
                        help="suppress per-point progress on stderr")
     p_run.set_defaults(fn=cmd_run)

@@ -16,9 +16,9 @@ client, so it gets a real event.
 from __future__ import annotations
 
 import csv
-import multiprocessing
 import os
 import time
+from array import array
 from math import log
 
 from . import __version__
@@ -109,7 +109,8 @@ class RackRun:
                 srv.drop_sink = self.switch.mark_dropped
 
         n_classes = len(spec.classes)
-        self.samples = [[] for _ in range(n_classes)]
+        # per class: latency samples as unboxed doubles, 8 B each
+        self.samples = [array("d") for _ in range(n_classes)]
         self.arrivals = [0] * n_classes
         self.fallbacks = [0] * n_classes
         self.completed_total = 0
@@ -194,10 +195,15 @@ class RackRun:
         if delivered:
             self._record(req, now + self.rep_delay)
         if release is not None:
-            sreq, dst, follow = release
-            on_packet = self.servers[dst].on_packet
-            for m in (sreq, *follow):
-                self._to_server(now, on_packet, m)
+            self._forward(now, release)
+
+    def _forward(self, now: float, release):
+        """Send a released stalled request, and the follow-on packets
+        buffered with it, on to the server the switch placed it on."""
+        sreq, dst, follow = release
+        on_packet = self.servers[dst].on_packet
+        for m in (sreq, *follow):
+            self._to_server(now, on_packet, m)
 
     def _ev_client_rep(self, now: float, arg):
         req, src, load, _final = arg
@@ -228,10 +234,11 @@ class RackRun:
         elif kind == "add_server":
             sid = ev["server"]
             self.servers[sid].failed = False
-            self.switch.set_active(sid, True)
+            for release in self.switch.set_active(sid, True, now):
+                self._forward(now, release)
         elif kind == "remove_server":
             sid = ev["server"]
-            self.switch.set_active(sid, False)
+            self.switch.set_active(sid, False, now)
             if not ev["planned"]:
                 for req in self.servers[sid].fail():
                     self.switch.mark_dropped(req)
@@ -359,11 +366,17 @@ def _point_job(args):
 def run_experiment(exp: ExperimentConfig, out_dir: str, parallel: int = 1,
                    log=None) -> list:
     """Run the full sweep and write one CSV per variant plus a manifest.
-    Returns the written file paths."""
+    `parallel` worker processes run the points, never more than there are
+    points; 1 runs them in this process. Returns the written file paths."""
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     os.makedirs(out_dir, exist_ok=True)
     jobs = [(exp.raw, v, load, seed) for v, load, seed in exp.points()]
-    if parallel > 1:
-        with multiprocessing.Pool(parallel) as pool:
+    workers = min(parallel, len(jobs))
+    if workers > 1:
+        # imported here so that a serial run never loads it
+        import multiprocessing
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_point_job, jobs)
     else:
         results = []

@@ -319,9 +319,20 @@ class Switch:
     def _rebuild_eligible(self):
         self.elig = [[s for s in members if self.active[s]] for members in self.loc_sets]
 
-    def set_active(self, server: int, flag: bool):
+    def set_active(self, server: int, flag: bool, now: float) -> list:
+        """Bring a server up or take it down. A server that comes up can take
+        stalled JBSQ requests: the head of the stall FIFO is released for as
+        long as it places, as a final reply releases it. Returns the
+        releases, each (req, dst, follow) as in `note_rep`."""
         self.active[server] = flag
         self._rebuild_eligible()
+        releases = []
+        while flag and self.stalled:
+            release = self._release_head(now)
+            if release is None:
+                break
+            releases.append(release)
+        return releases
 
     def fail(self):
         """Switch goes dark: every packet is dropped until recover(), the
@@ -446,10 +457,16 @@ class Switch:
             else:  # INT1, INT3: the report overwrites
                 self.loads[req.tag][src] = load_report
             if self.stalled:
-                sreq, follow = next(iter(self.stalled.values()))
-                dst = self._select(self.loads[sreq.tag], self.elig[sreq.locality],
-                                   self.rnd_sampling, sreq)
-                if dst is not None:
-                    self.stalled.popitem(last=False)
-                    release = (sreq, self._dispatch(sreq, dst, now), follow)
+                release = self._release_head(now)
         return True, release
+
+    def _release_head(self, now: float):
+        """Dispatch the head of the non-empty stall FIFO if it now places;
+        returns (req, dst, follow) or None."""
+        sreq, follow = next(iter(self.stalled.values()))
+        dst = self._select(self.loads[sreq.tag], self.elig[sreq.locality],
+                           self.rnd_sampling, sreq)
+        if dst is None:
+            return None
+        self.stalled.popitem(last=False)
+        return sreq, self._dispatch(sreq, dst, now), follow

@@ -2,8 +2,11 @@
 
 import math
 import random
+from array import array
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from racksim.analysis import (
     MetricsRecord, erlang_c, insensitivity_check, jsq_equilibrium,
@@ -232,6 +235,28 @@ class TestMetricsRecord:
     def test_waiting_tail_requires_census(self):
         with pytest.raises(ValueError):
             self.make().waiting_tail_fractions(2)
+
+
+@given(st.lists(st.lists(st.floats(min_value=0.0, exclude_min=True,
+                                   allow_infinity=False),
+                         min_size=1, max_size=300),
+                min_size=1, max_size=3))
+def test_array_samples_summarise_as_a_list(per_class):
+    """The runner keeps samples in array('d'); every summary equals the one
+    of the same floats in a list, the reference."""
+    def record(samples):
+        k = len(samples)
+        return MetricsRecord(
+            class_tags=[f"c{i}" for i in range(k)], window=(0.0, 1.0),
+            samples=samples, arrivals=[len(s) for s in samples],
+            completions=[len(s) for s in samples], fallbacks=[0] * k)
+
+    ref = record([list(xs) for xs in per_class])
+    got = record([array("d", xs) for xs in per_class])
+    for i in range(len(per_class)):
+        assert got.class_summary(i) == ref.class_summary(i)
+    assert got.pooled_p99() == ref.pooled_p99()
+    assert got.pooled_mean() == ref.pooled_mean()
 
 
 class TestInsensitivityCheck:

@@ -1,13 +1,14 @@
 """Config validation, run-spec resolution, and the command-line interface."""
 
 import json
+import multiprocessing
 import re
 
 import pytest
 
 from racksim.cli import main
 from racksim.config import ConfigError, ExperimentConfig
-from racksim.runner import CSV_COLUMNS
+from racksim.runner import CSV_COLUMNS, run_experiment
 
 from conftest import CONFIG_DIR, ROOT
 
@@ -332,3 +333,70 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["compare", str(bad), str(bad)])
         assert exc.value.code == 2
+
+
+class FakePool:
+    """multiprocessing.Pool stand-in: records the size it was asked for and
+    maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        FakePool.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+TWO_POINTS = dict(TINY, sweep={"loads": [0.5, 0.6], "seeds": [1],
+                               "requests_per_point": 3000})
+
+
+def read_outputs(paths):
+    """{file name: bytes}, with the manifest's wall_s fields stripped."""
+    out = {}
+    for path in paths:
+        body = open(path, "rb").read()
+        if path.endswith("manifest.txt"):
+            body = re.sub(rb" wall_s=\S+", b"", body)
+        out[path.rsplit("/", 1)[-1]] = body
+    return out
+
+
+class TestParallel:
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_run_rejects_fewer_than_one_worker(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, TINY)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", cfg, "--out", str(tmp_path / "r"), "--parallel", n])
+        assert exc.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_library_rejects_fewer_than_one_worker(self, tmp_path):
+        with pytest.raises(ValueError):
+            run_experiment(ExperimentConfig.from_dict(TINY),
+                           str(tmp_path / "r"), parallel=0)
+
+    def test_pool_never_outnumbers_the_points(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        run_experiment(ExperimentConfig.from_dict(TWO_POINTS),
+                       str(tmp_path / "two"), parallel=16)
+        assert FakePool.sizes == [2]
+        # one point runs in this process, with no pool at all
+        run_experiment(ExperimentConfig.from_dict(TINY),
+                       str(tmp_path / "one"), parallel=16)
+        assert FakePool.sizes == [2]
+
+    def test_pool_writes_what_a_serial_run_writes(self, tmp_path):
+        exp = ExperimentConfig.from_dict(TWO_POINTS)
+        serial = run_experiment(exp, str(tmp_path / "serial"), parallel=1)
+        pooled = run_experiment(exp, str(tmp_path / "pooled"), parallel=2)
+        assert read_outputs(pooled) == read_outputs(serial)

@@ -1,5 +1,8 @@
 """End-to-end run properties: conservation, determinism, policy equivalences."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from racksim.config import POLICY_KINDS, RACK_BASELINES, ExperimentConfig
@@ -44,6 +47,25 @@ def test_same_seed_reproduces_samples_exactly():
     b = run_point(exp, "default", 0.6, 1)
     assert a.samples == b.samples
     assert a.dispatch_hist == b.dispatch_hist
+
+
+def test_a_latency_sample_costs_about_eight_bytes():
+    """Samples are kept unboxed: dropping a record's samples frees 8 B each
+    plus the arrays' growth slack, not a list slot and a float object."""
+    tracemalloc.start()
+    try:
+        rr = RackRun(make_exp().build_runspec("default", 0.6, 1))
+        rec = rr.run()
+        del rr
+        gc.collect()
+        n = sum(len(s) for s in rec.samples)
+        held = tracemalloc.get_traced_memory()[0]
+        rec.samples = None
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n > 3000
+    assert 8 * n <= held <= 10 * n, f"{held} B hold {n} samples"
 
 
 def test_different_seeds_differ():
@@ -113,6 +135,32 @@ def test_multi_packet_requests_stay_on_one_server():
     assert rr.switch.affinity_violations == 0
     assert rec.in_flight() == 0
     assert rec.dropped == 0
+
+
+def test_server_coming_up_under_jbsq_serves_the_stalled_requests():
+    """Server 3 joins while every other server is at the JBSQ bound; the
+    requests it takes at once reach it, and every request completes."""
+    exp = make_exp(
+        policy={"kind": "jbsq", "bound": 1},
+        servers={"count": 4, "workers": 1,
+                 "initial_active": [0, 1, 2]},
+        timeline=[{"kind": "add_server", "at_us": 20000.0, "server": 3}])
+    rr = RackRun(exp.build_runspec("default", 0.9, 1))
+    sw = rr.switch
+    set_active = sw.set_active
+    released = []
+
+    def spy(server, flag, now):
+        out = set_active(server, flag, now)
+        released.extend(out)
+        return out
+
+    sw.set_active = spy
+    rec = rr.run()
+    assert released, "no request was stalled when the server came up"
+    assert rec.dispatch_hist[3] > 0
+    assert rec.in_flight() == 0 and rec.dropped == 0
+    assert rec.injected == rec.completed
 
 
 def test_unplanned_removal_drops_but_conserves():

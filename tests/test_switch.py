@@ -386,7 +386,7 @@ class TestRouting:
         from racksim.baselines import hash_pick
         rid = next(r for r in range(2, 500)
                    if hash_pick(r, [0, 1, 2, 3], sw.fallback_salt) == 2)
-        sw.set_active(2, False)
+        sw.set_active(2, False, 0.0)
         req = make_req(rid)
         assert sw.route_reqf(req, 0.0) == 2  # affinity beats liveness
 
@@ -400,7 +400,7 @@ class TestRouting:
 
     def test_set_active_excludes_server_from_dispatch(self):
         sw = make_switch("shortest")
-        sw.set_active(0, False)
+        sw.set_active(0, False, 0.0)
         picks = {sw.route_reqf(make_req(r), 0.0) for r in range(1, 40)}
         assert 0 not in picks
 
@@ -559,6 +559,29 @@ class TestJBSQ:
         assert list(sw.stalled) == [3, 4] and sw.outstanding == [0, 1]
         _, release = sw.note_rep(r2, 1, 0, final=True, now=2.0)
         assert release[:2] == (r3, 1) and list(sw.stalled) == [4]
+
+    def test_server_coming_up_takes_stalled_requests(self):
+        sw = self.make()
+        sw.set_active(1, False, 0.0)
+        r1, r2, r3 = (make_req(r) for r in (1, 2, 3))
+        assert [sw.route_reqf(r, 0.0) for r in (r1, r2, r3)] == [0, -1, -1]
+        # the head places on the new server; request 3 finds both at bound
+        assert sw.set_active(1, True, 1.0) == [(r2, 1, [])]
+        assert sw.outstanding == [1, 1] and list(sw.stalled) == [3]
+        assert sw.reqtable.read(2) == 1
+        _, release = sw.note_rep(r1, 0, 0, final=True, now=2.0)
+        assert release == (r3, 0, []) and not sw.stalled
+        assert sw.outstanding == [1, 1]
+
+    def test_server_coming_up_releases_while_the_head_places(self):
+        sw = make_switch("jbsq", bound=2, n=2)
+        sw.set_active(1, False, 0.0)
+        reqs = [make_req(r) for r in range(1, 7)]
+        assert [sw.route_reqf(r, 0.0) for r in reqs] == [0, 0, -1, -1, -1, -1]
+        released = sw.set_active(1, True, 1.0)
+        assert [(r.req_id, dst) for r, dst, _ in released] == [(3, 1), (4, 1)]
+        assert sw.outstanding == [2, 2] and list(sw.stalled) == [5, 6]
+        assert sw.set_active(0, False, 2.0) == []
 
     def test_outstanding_never_exceeds_bound(self):
         sw = self.make()
