@@ -260,50 +260,3 @@ class MetricsRecord:
             at_least = sum(c for k, c in self.census_waiting.items() if k >= n)
             out.append(at_least / total)
         return out
-
-
-def insensitivity_check(workers_per_server: int, rho: float, dist_a: dict,
-                        dist_b: dict, seeds, n_servers: int = 8,
-                        intra: str = "ps", slice_us: float = 5.0,
-                        requests_per_seed: int = 200000,
-                        census_interval_us: float = 47.0) -> float:
-    """Run join-shortest-queue racks under two service distributions of equal
-    mean and return the total variation distance between their per-server
-    queue-length histograms (sampled at Poisson epochs, pooled over seeds).
-
-    Dispatch uses proactive outstanding counts (exact at the dispatcher), so
-    the runs realize the idealized JSQ discipline rather than the
-    reply-delayed telemetry variants, whose staleness artifacts depend on the
-    service law and would confound the comparison.
-
-    The simulator import is deferred so this module stays usable standalone.
-    """
-    from .config import ExperimentConfig
-    from .runner import run_point
-    from .workload import ServiceDistribution
-
-    mean_a = ServiceDistribution.from_config(dist_a).mean_us
-    mean_b = ServiceDistribution.from_config(dist_b).mean_us
-    if abs(mean_a - mean_b) > 1e-6 * mean_a:
-        raise ValueError(f"distributions must share a mean, got {mean_a} "
-                         f"and {mean_b}")
-    hists = []
-    for dist in (dist_a, dist_b):
-        census: dict = {}
-        exp = ExperimentConfig.from_dict({
-            "name": "insensitivity",
-            "servers": {"count": n_servers, "workers": workers_per_server},
-            "workload": {"service": dist},
-            "policy": {"kind": "shortest"},
-            "tracking": {"kind": "proactive"},
-            "intra": {"kind": intra, "slice_us": slice_us},
-            "sweep": {"loads": [rho], "seeds": list(seeds),
-                      "requests_per_point": requests_per_seed},
-            "census_interval_us": census_interval_us,
-        })
-        for seed in seeds:
-            rec = run_point(exp, "default", rho, seed)
-            for k, c in rec.census_system.items():
-                census[k] = census.get(k, 0) + c
-        hists.append(census)
-    return tv_distance(hists[0], hists[1])

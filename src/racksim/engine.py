@@ -128,6 +128,3 @@ class EventLoop:
             ev[2](time, ev[3])
         if end > self.now:
             self.now = end
-
-    def pending(self) -> int:
-        return len(self._heap) + len(self._lanes[0]) + len(self._lanes[1])

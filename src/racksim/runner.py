@@ -6,7 +6,8 @@ switch-arrival time; that handler draws the next arrival for the same client,
 creates the request, and routes it, so a single-packet request costs four
 events end to end (send, server arrival, worker timer, reply at switch). The
 two fixed hops, switch to server and server to switch, ride FIFO lanes of the
-event loop rather than its heap. Reply delivery to the client is pure added
+event loop rather than its heap; each server pushes its replies onto the
+server-to-switch lane itself. Reply delivery to the client is pure added
 delay, so completion latency is recorded at the reply's switch-arrival event
 rather than with a fifth event. Client-dispatch mode is the exception: the
 per-client view must be updated at the instant the reply reaches that
@@ -45,7 +46,7 @@ class RackRun:
         self.rep_delay = exp.switch_lat + exp.d_cs   # switch -> client
         self.gap_us = exp.gap_us
         self._to_server = self.sim.lane(self.fwd_delay)
-        self._to_switch = self.sim.lane(exp.d_ss)
+        to_switch = self.sim.lane(exp.d_ss)
 
         self.factory = RequestFactory(
             spec.classes, self.streams.get("classes"), self.streams.get("service"))
@@ -73,8 +74,8 @@ class RackRun:
         self.servers = []
         for sid in range(spec.n_servers):
             srv = Server(
-                sid, spec.workers[sid], spec.intra_kind, self.sim, self._emit,
-                n_classes=len(spec.classes), slice_us=exp.slice_us,
+                sid, spec.workers[sid], spec.intra_kind, self.sim, to_switch,
+                self._ev_rep, n_classes=len(spec.classes), slice_us=exp.slice_us,
                 preempt_threshold_us=exp.preempt_threshold_us,
                 ctx_switch_us=exp.ctx_switch_us,
                 preempt_latency_us=exp.preempt_latency_us,
@@ -85,8 +86,12 @@ class RackRun:
         self.client_mode = spec.client_mode
         if self.client_mode:
             self.switch = None
-            self.views = [ClientView(spec.n_servers) for _ in range(spec.clients)]
-            self.view_k = spec.policy_k
+            # a sampling policy, which takes no salt: client mode draws
+            # nothing from the "hashing" stream
+            select = make_policy(spec.policy_kind, len(spec.classes), 0,
+                                 k=spec.policy_k).select
+            self.views = [ClientView(spec.n_servers, select)
+                          for _ in range(spec.clients)]
             self.elig_all = list(range(spec.n_servers))
             self.rnd_choice = self.streams.get("sampling")
             self.dispatch_hist = [0] * spec.n_servers
@@ -150,8 +155,7 @@ class RackRun:
 
         if self.client_mode:
             # every packet goes straight to the server the client picked
-            dst = self.views[client].choose(self.elig_all, self.view_k,
-                                            self.rnd_choice)
+            dst = self.views[client].choose(self.elig_all, self.rnd_choice)
             self.dispatch_hist[dst] += len(members)
             t0 = now + self.fwd_delay
             handler = self.servers[dst].on_packet
@@ -182,11 +186,9 @@ class RackRun:
         if dst is not None and dst >= 0:
             self._to_server(now, self.servers[dst].on_packet, req)
 
-    def _emit(self, req, sid: int, load, final: bool, now: float):
-        """Server reply callback; fires the reply's switch arrival."""
-        self._to_switch(now, self._ev_rep, (req, sid, load, final))
-
     def _ev_rep(self, now: float, arg):
+        """A server's reply at the switch; the server pushed it onto the
+        server-to-switch lane."""
         if self.client_mode:
             self.sim.schedule(now + self.rep_delay, self._ev_client_rep, arg)
             return

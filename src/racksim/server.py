@@ -16,8 +16,10 @@ event. The server owns its timer events; cancellation is by per-worker
 tokens (a stale token means the worker was reassigned and the event is
 void). A token is the event's only argument: tokens of worker `wid` are
 congruent to `wid` modulo the worker count, so the token also names its
-worker. Replies are emitted through a callback so the server never needs to
-know about network delays or the switch.
+worker. A reply goes out through the server-to-switch push and handler the
+server is given at construction, as `reply(now, on_reply, (req, sid, load,
+final))`, so the server never needs to know about network delays or the
+switch.
 
 One timer per uninterrupted run. A sliced request whose worker finds nothing
 else queued at a slice end is handed straight back to the same worker, so
@@ -54,8 +56,8 @@ DISCIPLINES = {
 
 
 class Server:
-    def __init__(self, sid: int, n_workers: int, intra: str, sim, emit,
-                 n_classes: int = 1, slice_us: float = 25.0,
+    def __init__(self, sid: int, n_workers: int, intra: str, sim, reply,
+                 on_reply, n_classes: int = 1, slice_us: float = 25.0,
                  preempt_threshold_us: float | None = None,
                  ctx_switch_us: float = 0.0, preempt_latency_us: float = 5.0,
                  tracking: str = "int1", wfq_weights: list[float] | None = None,
@@ -68,7 +70,8 @@ class Server:
         self.sid = sid
         self.n_workers = n_workers
         self.sim = sim
-        self.emit = emit
+        self.reply = reply          # push(now, fn, arg) toward the switch
+        self.on_reply = on_reply    # the handler each reply fires there
         self.n_classes = n_classes
         self.cap = preempt_threshold_us if to_threshold else slice_us
         self.ctx_us = ctx_switch_us
@@ -292,17 +295,16 @@ class Server:
                 final = group.done >= group.size
             load = (self.current_load(tag, now) if self.int3
                     else self.outstanding[tag])
-            self.emit(req, self.sid, load, final, now)
+            self.reply(now, self.on_reply, (req, self.sid, load, final))
         else:
             self._push(req)
         if self.in_system > self.busy or self._credit:
             self._dispatch(now)
 
     def current_load(self, tag: int, now: float) -> float:
-        """Piggybacked load: queued+running count (INT1/INT2) or remaining
-        service microseconds (INT3), excluding any request that just left."""
-        if not self.int3:
-            return self.outstanding[tag]
+        """INT3's piggybacked load: remaining service microseconds of the
+        class, excluding any request that just left. Under the other
+        tracking kinds a reply carries `outstanding[tag]`."""
         rem = self.rem_sum[tag]
         w_req = self.w_req
         w_start = self.w_start

@@ -86,7 +86,6 @@ class Request:
         "measured",
         "dropped",
         "fallback",
-        "slot",
     )
 
     def __init__(self, req_id, client, tag, priority, locality, packets, service, arrival, group=None):
@@ -104,7 +103,6 @@ class Request:
         self.measured = False
         self.dropped = False
         self.fallback = False
-        self.slot = None        # its ReqTable slot: None until routed, -1 if none
 
     def __repr__(self):
         return f"Request({self.req_id:#x} tag={self.tag} t={self.arrival:.1f} s={self.service:.1f})"
@@ -167,10 +165,6 @@ class RequestFactory:
             if c.tag in weights:
                 c.weight = float(weights[c.tag])
         self._rebuild_cum(now)
-
-    def mix_mean_us(self) -> float:
-        total = sum(c.weight for c in self.classes)
-        return sum(c.weight * c.dist.mean_us for c in self.classes) / total
 
     def _pick_class(self, now: float) -> ClassSpec:
         if self._windowed:

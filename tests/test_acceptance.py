@@ -10,12 +10,13 @@ import csv
 import json
 import time
 
-from racksim.analysis import insensitivity_check, jsq_equilibrium, \
-    mm1_sojourn_mean, mmc_sojourn_mean, mmc_sojourn_quantile, sign_test_p
+from racksim.analysis import jsq_equilibrium, mm1_sojourn_mean, \
+    mmc_sojourn_mean, mmc_sojourn_quantile, sign_test_p
 from racksim.config import ExperimentConfig
 from racksim.runner import run_experiment, run_point
 
 from conftest import load_config, load_raw, run_traced
+from insensitivity import insensitivity_check
 from test_oracle_small import compare_case
 
 

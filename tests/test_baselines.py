@@ -1,4 +1,4 @@
-"""Random/hash dispatch helpers and the stale per-client view."""
+"""Random/hash dispatch choosers and the stale per-client view."""
 
 import random
 import sys
@@ -8,13 +8,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from racksim.baselines import ClientView, dispatch_random, hash_pick, least_of_k
+from racksim.baselines import ClientView, hash_pick
+from racksim.switchsim import make_policy
+
+
+def sampling_view(n, k):
+    """A client view over n servers running a power-of-k sampling select."""
+    return ClientView(n, make_policy("sampling", 1, 0, k=k).select)
 
 
 def test_dispatch_random_uniform():
     rnd = random.Random(11)
     elig = [2, 5, 7]
-    counts = Counter(dispatch_random(elig, rnd) for _ in range(30000))
+    select = make_policy("random", 1, 0).select
+    counts = Counter(select(None, elig, rnd, None) for _ in range(30000))
     assert set(counts) == set(elig)
     for s in elig:
         assert counts[s] / 30000 == pytest.approx(1 / 3, abs=0.02)
@@ -34,46 +41,46 @@ def test_hash_pick_deterministic_and_spread():
 
 
 def test_client_view_observe_and_scan():
-    view = ClientView(4)
+    view = sampling_view(4, 4)
     for s, load in enumerate([3, 1, 4, 1]):
         view.observe(s, load)
     rnd = random.Random(1)
     # full scan (k >= n): least load, lowest index on ties, then bumped
-    assert view.choose(list(range(4)), 4, rnd) == 1
+    assert view.choose(list(range(4)), rnd) == 1
     assert view.estimates == [3, 2, 4, 1]
-    assert view.choose(list(range(4)), 4, rnd) == 3
+    assert view.choose(list(range(4)), rnd) == 3
 
 def test_client_view_optimistic_bump_spreads_sends():
     # with a stale all-zero view and no replies, consecutive full-scan picks
     # must rotate instead of herding onto server 0
-    view = ClientView(4)
+    view = sampling_view(4, 4)
     rnd = random.Random(2)
-    picks = [view.choose(list(range(4)), 4, rnd) for _ in range(8)]
+    picks = [view.choose(list(range(4)), rnd) for _ in range(8)]
     assert picks == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
 def test_client_view_pair_pick_member_and_tiebreak():
-    view = ClientView(8)
+    view = sampling_view(8, 2)
     rnd = random.Random(3)
     elig = list(range(8))
     for _ in range(500):
         view.estimates[:] = [5] * 8
-        s = view.choose(elig, 2, rnd)
+        s = view.choose(elig, rnd)
         assert s in elig
         assert view.estimates[s] == 6  # bumped
     # two distinct servers are sampled: never a self-pair advantage
     view.estimates[:] = [0] * 8
-    seen = {view.choose(elig, 2, rnd) for _ in range(400)}
+    seen = {view.choose(elig, rnd) for _ in range(400)}
     assert len(seen) == 8
 
 
 def test_client_view_general_k():
-    view = ClientView(8)
+    view = sampling_view(8, 3)
     rnd = random.Random(4)
     hits = 0
     for _ in range(2000):
         view.estimates[:] = [9, 9, 9, 0, 9, 9, 9, 9]
-        if view.choose(list(range(8)), 3, rnd) == 3:
+        if view.choose(list(range(8)), rnd) == 3:
             hits += 1
     # server 3 wins whenever sampled: P = 1 - C(7,3)/C(8,3) = 3/8
     assert hits / 2000 == pytest.approx(3 / 8, abs=0.04)
@@ -107,4 +114,5 @@ def test_least_of_k_full_scan_keeps_the_first_minimum(case):
     for s in eligible:
         if loads[s] < loads[best]:
             best = s
-    assert least_of_k(loads, eligible, k, NoDraws()) == best
+    select = make_policy("sampling", 1, 0, k=k).select
+    assert select(loads, eligible, NoDraws(), None) == best

@@ -19,12 +19,15 @@ def run_sim(arrivals, services, n_servers, n_workers, intra, slice_us,
     sim = EventLoop()
     done = {}
 
-    def emit(req, sid, load, final, now):
-        done[req.req_id] = now
+    def reply(now, fn, arg):
+        fn(now, arg)    # no hop: a reply is collected when it is sent
+
+    def on_reply(now, arg):
+        done[arg[0].req_id] = now
 
     servers = [
-        Server(s, n_workers, intra, sim, emit, n_classes=1, slice_us=slice_us,
-               preempt_threshold_us=threshold)
+        Server(s, n_workers, intra, sim, reply, on_reply, n_classes=1,
+               slice_us=slice_us, preempt_threshold_us=threshold)
         for s in range(n_servers)
     ]
     table = ReqTable(2, 64, [11, 22], ttl_us=None)

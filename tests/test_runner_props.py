@@ -217,14 +217,15 @@ def test_jbsq_release_sends_each_group_member_once():
     rr = RackRun(spec)
     served = {}         # id -> [request, completions]; keeps ids unique
 
-    def counting(emit):
-        def wrapped(req, sid, load, final, now):
+    def counting(reply):
+        def wrapped(now, fn, arg):
+            req = arg[0]
             served.setdefault(id(req), [req, 0])[1] += 1
-            emit(req, sid, load, final, now)
+            reply(now, fn, arg)
         return wrapped
 
     for srv in rr.servers:
-        srv.emit = counting(srv.emit)
+        srv.reply = counting(srv.reply)
     releases = []
     note_rep = rr.switch.note_rep
 
@@ -240,6 +241,69 @@ def test_jbsq_release_sends_each_group_member_once():
     assert rec.completed == rec.injected
     assert len(served) == rec.injected
     assert all(n == 1 for _, n in served.values())
+
+
+def test_wrappers_installed_after_construction_see_every_call():
+    """The runner looks up the switch's methods, and each server its reply
+    push, at call time, so wrappers installed on a constructed run (as the
+    benchmark's tracer does) see every call."""
+    raw = {
+        "name": "wrapped",
+        "servers": {"count": 4, "workers": 2},
+        "workload": {"classes": [
+            {"tag": "rpc", "packets": 3,
+             "service": {"kind": "exponential", "mean_us": 30.0}},
+            {"tag": "one", "service": {"kind": "exponential", "mean_us": 30.0}},
+            {"tag": "grp", "packets": 2, "group_size": 2,
+             "service": {"kind": "exponential", "mean_us": 30.0}}]},
+        "policy": {"kind": "sampling", "k": 2},
+        "sweep": {"loads": [0.6], "seeds": [2], "requests_per_point": 3000},
+    }
+    spec = ExperimentConfig.from_dict(raw).build_runspec("default", 0.6, 2)
+    rr = RackRun(spec)
+    calls = {"arrivals": 0, "packets": 0, "route_reqf": 0, "route_reqr": 0,
+             "note_rep": 0, "reply": 0, "final": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    make_request = rr.factory.make_request
+
+    def making(client, now):
+        members = make_request(client, now)
+        if members:
+            calls["arrivals"] += 1
+            calls["packets"] += sum(m.packets for m in members)
+        return members
+
+    rr.factory.make_request = making
+    sw = rr.switch
+    for name in ("route_reqf", "route_reqr", "note_rep"):
+        setattr(sw, name, counted(name, getattr(sw, name)))
+
+    def replying(reply):
+        def wrapped(now, fn, arg):
+            calls["reply"] += 1
+            calls["final"] += arg[3]
+            reply(now, fn, arg)
+        return wrapped
+
+    for srv in rr.servers:
+        srv.reply = replying(srv.reply)
+    rec = rr.run()
+    assert rec.dropped == 0 and rec.completed == rec.injected
+    assert calls["packets"] > 2 * calls["arrivals"] > 0
+    # one first packet per arrival, every other packet a follow-on
+    assert calls["route_reqf"] == calls["arrivals"]
+    assert calls["route_reqr"] == calls["packets"] - calls["arrivals"]
+    # one reply per request, each seen at the switch and completed there;
+    # a group's last reply is its only final one
+    assert calls["reply"] == calls["note_rep"] == rec.injected == rec.completed
+    assert calls["final"] == calls["arrivals"] < rec.injected
+    assert sw.reqtable.occupancy == 0
 
 
 def _send_schedule_run(policy, gap):

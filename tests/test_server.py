@@ -36,9 +36,15 @@ class Harness:
     def __init__(self, intra, n_workers=1, **kw):
         self.sim = CountingLoop()
         self.done = []  # (req_id, completion_time, reported_load, final)
-        self.server = Server(0, n_workers, intra, self.sim, self._emit, **kw)
+        self.server = Server(0, n_workers, intra, self.sim, self._reply,
+                             self._on_reply, **kw)
 
-    def _emit(self, req, sid, load, final, now):
+    @staticmethod
+    def _reply(now, fn, arg):
+        fn(now, arg)    # no hop: a reply is collected when it is sent
+
+    def _on_reply(self, now, arg):
+        req, _sid, load, final = arg
         self.done.append((req.req_id, now, load, final))
 
     def send(self, req, at=None):

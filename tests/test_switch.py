@@ -123,18 +123,17 @@ class TestReqTable:
         assert t.occupancy == 0
         assert all(t.read(rid) == -1 for rid in range(1, 20))
 
-    def test_slot_hint_agrees_with_probing(self):
+    def test_purged_slot_is_reused(self):
         t = ReqTable(2, 1, [7, 8], ttl_us=100.0)
         a, b = t.place(11, 4, now=0.0), t.place(22, 5, now=50.0)
         assert (a, b) == (0, 1)  # stage 0, then stage 1 of a 1-slot table
         assert t.place(33, 6, now=50.0) == -1
-        assert [t.read(r, s) for r, s in ((11, a), (22, b), (33, -1))] == \
-            [t.read(r) for r in (11, 22, 33)] == [4, 5, -1]
-        assert t.purge_stale(now=120.0) == 1  # clears 11; its hint goes stale
-        assert t.read(11, a) == -1 and not t.remove(11, a)
+        assert [t.read(r) for r in (11, 22, 33)] == [4, 5, -1]
+        assert t.purge_stale(now=120.0) == 1  # clears 11
+        assert t.read(11) == -1 and not t.remove(11)
         assert t.place(44, 7, now=120.0) == a  # the slot is reused
-        assert t.read(11, a) == -1 and t.read(44, a) == 7
-        assert t.remove(22, b) and t.occupancy == 1
+        assert t.read(11) == -1 and t.read(44) == 7
+        assert t.remove(22) and t.occupancy == 1
 
 
 class StageModel:
@@ -149,12 +148,7 @@ class StageModel:
         stage, index = divmod(slot, self.m)
         return self.stages[stage], index
 
-    def _slot_of(self, req_id, hint):
-        if hint is not None:
-            if hint < 0:
-                return -1
-            row, i = self._at(hint)
-            return hint if row[i] is not None and row[i][0] == req_id else -1
+    def _slot_of(self, req_id):
         for stage, salt in enumerate(self.salts):
             i = hash((req_id, salt)) % self.m
             e = self.stages[stage][i]
@@ -170,15 +164,15 @@ class StageModel:
                 return stage * self.m + i
         return -1
 
-    def read(self, req_id, hint):
-        slot = self._slot_of(req_id, hint)
+    def read(self, req_id):
+        slot = self._slot_of(req_id)
         if slot < 0:
             return -1
         row, i = self._at(slot)
         return row[i][1]
 
-    def remove(self, req_id, hint):
-        slot = self._slot_of(req_id, hint)
+    def remove(self, req_id):
+        slot = self._slot_of(req_id)
         if slot < 0:
             return False
         row, i = self._at(slot)
@@ -219,8 +213,7 @@ def test_reqtable_matches_a_per_stage_reference(data):
     salts = [101 + 7 * i for i in range(stages)]
     table = ReqTable(stages, slots, list(salts), ttl_us=ttl)
     model = StageModel(stages, slots, salts, ttl)
-    rids = st.integers(1, 8)
-    hints = st.one_of(st.none(), st.integers(-1, stages * slots - 1))
+    rids = range(1, 9)
     now = 0
     for _ in range(data.draw(st.integers(0, 40), label="steps")):
         now += data.draw(st.integers(0, 2))
@@ -228,13 +221,17 @@ def test_reqtable_matches_a_per_stage_reference(data):
             ["place", "read", "remove", "purge_stale", "purge_server",
              "clear"]))
         if op == "place":
-            rid, srv = data.draw(rids), data.draw(st.integers(0, 3))
+            # the system places a req_id at most once while it is live
+            live = {e[0] for row in model.stages for e in row if e}
+            free = [r for r in rids if r not in live]
+            if not free:
+                continue
+            rid = data.draw(st.sampled_from(free))
+            srv = data.draw(st.integers(0, 3))
             assert table.place(rid, srv, now) == model.place(rid, srv, now)
         elif op in ("read", "remove"):
-            rid, hint = data.draw(rids), data.draw(hints)
-            got = (getattr(table, op)(rid) if hint is None
-                   else getattr(table, op)(rid, hint))
-            assert got == getattr(model, op)(rid, hint)
+            rid = data.draw(st.sampled_from(rids))
+            assert getattr(table, op)(rid) == getattr(model, op)(rid)
         elif op == "purge_stale":
             assert table.purge_stale(now) == model.purge_stale(now)
         elif op == "purge_server":
@@ -258,8 +255,8 @@ def test_reqtable_memory_follows_live_mappings():
     assert built < 64 * 1024, f"constructing the table allocated {built} B"
     slots = [t.place(rid, rid % 8, now=float(rid)) for rid in range(1, 1001)]
     assert all(s >= 0 for s in slots) and t.occupancy == 1000
-    for rid, slot in zip(range(1, 1001), slots):
-        assert t.remove(rid, slot)
+    for rid in range(1, 1001):
+        assert t.remove(rid)
     assert t.occupancy == 0
 
 
@@ -279,16 +276,16 @@ class TestPolicies:
         assert got == 0
 
     def test_full_width_choosers_pick_the_least_loaded(self):
-        # shortest, sampling with k = n, and a client view scanning every
-        # server all take the least load, lowest index on ties; jbsq takes
-        # it too, unless it is at the bound
+        # shortest, sampling with k = n, and client views scanning every
+        # server (k = n and k > n) all take the least load, lowest index on
+        # ties; jbsq takes it too, unless it is at the bound
         n = 8
         bound = 3
         rnd = random.Random(8)
         shortest = make_policy("shortest", 1, 0)
         full = make_policy("sampling", 1, 0, k=n)
         jbsq = make_policy("jbsq", 1, 0, bound=bound)
-        view = ClientView(n)
+        views = [ClientView(n, full.select), ClientView(n, shortest.select)]
         eligs = [list(range(n)), [2, 3, 6], [5], [0, 7]]
         for _ in range(500):
             loads = [rnd.randrange(6) for _ in range(n)]
@@ -298,8 +295,26 @@ class TestPolicies:
                 assert full.select(loads, elig, None, make_req(1)) == want
                 assert jbsq.select(loads, elig, None, make_req(1)) == (
                     want if loads[want] < bound else None)
+                view = views[rnd.randrange(2)]
                 view.estimates[:] = loads
-                assert view.choose(elig, n + rnd.randrange(2), None) == want
+                assert view.choose(elig, None) == want
+
+    def test_client_view_picks_what_the_switch_picks(self):
+        # k = 2: from the same scripted draws, a client view running the
+        # sampling select picks what the switch's select picks, then bumps
+        n = 8
+        rnd = random.Random(9)
+        sw = make_switch("sampling", n=n, k=2)
+        view = ClientView(n, make_policy("sampling", 1, 0, k=2).select)
+        eligs = [list(range(n)), [2, 3, 6], [0, 7]]
+        for _ in range(300):
+            loads = [rnd.randrange(6) for _ in range(n)]
+            for elig in eligs:
+                draws = [rnd.random(), rnd.random()]
+                want = sw._select(loads, elig, FakeRnd(draws), make_req(1))
+                view.estimates[:] = loads
+                assert view.choose(elig, FakeRnd(draws)) == want
+                assert view.estimates[want] == loads[want] + 1
 
     def test_round_robin_cycles_per_class(self):
         p = make_policy("rr", 2, 0)

@@ -69,7 +69,6 @@ class TestRequestFactory:
         fac = make_factory(classes)
         fac.set_weights({"b": 0.0}, 0.0)
         assert all(fac.make_request(0, 0.0)[0].tag == 0 for _ in range(200))
-        assert fac.mix_mean_us() == pytest.approx(50.0)
 
     def test_start_window_gates_class(self):
         classes = [exp_class("base", 0, 1.0),
