@@ -71,13 +71,11 @@ def cmd_compare(args) -> int:
     a = _read_p99(args.baseline)
     b = _read_p99(args.candidate)
     if set(a) != set(b):
-        only_a = sorted(set(a) - set(b))
-        only_b = sorted(set(b) - set(a))
         print("error: result grids do not match", file=sys.stderr)
-        for key in only_a[:5]:
-            print(f"  only in {args.baseline}: {key}", file=sys.stderr)
-        for key in only_b[:5]:
-            print(f"  only in {args.candidate}: {key}", file=sys.stderr)
+        for path, keys in ((args.baseline, set(a) - set(b)),
+                           (args.candidate, set(b) - set(a))):
+            for key in sorted(keys)[:5]:
+                print(f"  only in {path}: {key}", file=sys.stderr)
         return 2
     print(f"{'load':>8} {'class':>10} {'seed':>6} {'base_p99':>12} "
           f"{'cand_p99':>12} {'ratio':>8}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import product
 
 from .server import DISCIPLINES
 from .switchsim import MAX_STAGES, TRACKING_KINDS, stage_cost
@@ -122,7 +123,6 @@ class RunSpec:
     policy_kind: str
     policy_k: int
     policy_bound: int
-    client_mode: bool
     tracking: str
     rep_loss_prob: float
     intra_kind: str
@@ -477,16 +477,12 @@ class ExperimentConfig:
 
     def points(self):
         """Every (variant, load, seed) triple in deterministic order."""
-        for vname in self.variants:
-            for load in self.loads:
-                for seed in self.seeds:
-                    yield vname, load, seed
+        return product(self.variants, self.loads, self.seeds)
 
     def build_runspec(self, variant: str, load: float, seed: int) -> RunSpec:
         v = self.variants[variant]
         kind = v["kind"]
         global_mode = kind in ("global-cfcfs", "global-ps")
-        client_mode = kind == "client"
 
         if global_mode:
             n_servers = 1
@@ -500,7 +496,7 @@ class ExperimentConfig:
             workers = list(self.workers)
             active0 = list(self.active0)
             loc_sets = [list(s) for s in self.loc_sets]
-            policy_kind = "sampling" if client_mode else kind
+            policy_kind = kind
             intra_kind = self.intra_kind
 
         classes = []
@@ -525,7 +521,6 @@ class ExperimentConfig:
             policy_kind=policy_kind,
             policy_k=v["k"],
             policy_bound=v["bound"],
-            client_mode=client_mode,
             tracking=v["tracking"][0],
             rep_loss_prob=v["tracking"][1],
             intra_kind=intra_kind,

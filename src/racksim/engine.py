@@ -15,6 +15,8 @@ event costs an O(1) append and pop instead of two O(log n) sifts of tuple
 comparisons. This is the monotone-bucket idea of calendar and ladder queues
 (Brown, CACM 1988; Tang et al., ACM TOMACS 2005). The merge is unrolled for
 two lanes, which is what one request path needs (switch to server and back).
+It compares times as floats and sequence numbers only on a tie, and an end
+marker on the heap stops a run, so the loop never tests for an empty heap.
 
 Random streams are derived from (seed, stream name) via SHA-256, so stream
 draws are reproducible across runs and platforms and adding draws to one
@@ -26,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count
 
 
@@ -95,36 +97,45 @@ class EventLoop:
         is normal termination."""
         heap = self._heap
         la, lb = self._lanes
-        while True:
-            # the earliest of the heap top and the two lane heads
-            if heap:
+        # after every event at `end` (an infinite sequence number)
+        marker = (end, float("inf"), None, None)
+        heappush(heap, marker)
+        try:
+            while True:
+                # the earliest of the heap top and the lane heads
                 ev = heap[0]
-                src = None
-                if la and la[0] < ev:
-                    ev = la[0]
-                    src = la
-                if lb and lb[0] < ev:
-                    ev = lb[0]
-                    src = lb
-            elif la:
-                ev = la[0]
-                src = la
-                if lb and lb[0] < ev:
-                    ev = lb[0]
-                    src = lb
-            elif lb:
-                ev = lb[0]
-                src = lb
-            else:
-                break
-            time = ev[0]
-            if time > end:
-                break
-            if src is None:
+                t = ev[0]
+                if la:
+                    a = la[0]
+                    ta = a[0]
+                    if ta <= t and (ta < t or a[1] < ev[1]):
+                        if lb:
+                            b = lb[0]
+                            tb = b[0]
+                            if tb <= ta and (tb < ta or b[1] < a[1]):
+                                lb.popleft()
+                                self.now = tb
+                                b[2](tb, b[3])
+                                continue
+                        la.popleft()
+                        self.now = ta
+                        a[2](ta, a[3])
+                        continue
+                if lb:
+                    b = lb[0]
+                    tb = b[0]
+                    if tb <= t and (tb < t or b[1] < ev[1]):
+                        lb.popleft()
+                        self.now = tb
+                        b[2](tb, b[3])
+                        continue
+                if ev is marker:
+                    break
                 heappop(heap)
-            else:
-                src.popleft()
-            self.now = time
-            ev[2](time, ev[3])
+                self.now = t
+                ev[2](t, ev[3])
+        finally:
+            heap.remove(marker)
+            heapify(heap)
         if end > self.now:
             self.now = end

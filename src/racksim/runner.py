@@ -1,17 +1,19 @@
 """Run orchestration: wires the workload generator, the switch, and the
 servers into one event loop and measures the result.
 
-The hot path is deliberately flat. One event fires per first-packet at its
+There is one packet path whatever the policy: client-based dispatch is the
+switch policy `baselines.ClientPolicy`. The hot path is deliberately flat. One event fires per first-packet at its
 switch-arrival time; that handler draws the next arrival for the same client,
 creates the request, and routes it, so a single-packet request costs four
 events end to end (send, server arrival, worker timer, reply at switch). The
 two fixed hops, switch to server and server to switch, ride FIFO lanes of the
 event loop rather than its heap; each server pushes its replies onto the
 server-to-switch lane itself. Reply delivery to the client is pure added
-delay, so completion latency is recorded at the reply's switch-arrival event
-rather than with a fifth event. Client-dispatch mode is the exception: the
-per-client view must be updated at the instant the reply reaches that
-client, so it gets a real event.
+delay, so every completion is recorded at the reply's switch-arrival event
+rather than with a fifth event. Client-based dispatch adds that fifth event
+only to update the client's view when the reply reaches it. Load and mix
+changes act at their `at_us` as a send time, other timeline events at the
+switch.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from math import log
 
 from . import __version__
 from .analysis import MetricsRecord
-from .baselines import ClientView
+from .baselines import ClientPolicy
 from .config import ExperimentConfig, RunSpec
 from .engine import EventLoop, RngStreams
 from .server import Server
-from .switchsim import ReqTable, Switch, make_policy
+from .switchsim import INT1, ReqTable, SamplingPolicy, Switch, make_policy
 from .workload import RequestFactory
 
 
@@ -42,10 +44,9 @@ class RackRun:
         self.streams = RngStreams(spec.seed)
 
         self.d_cs = exp.d_cs
-        self.fwd_delay = exp.switch_lat + exp.d_ss   # switch -> server
         self.rep_delay = exp.switch_lat + exp.d_cs   # switch -> client
         self.gap_us = exp.gap_us
-        self._to_server = self.sim.lane(self.fwd_delay)
+        self._to_server = self.sim.lane(exp.switch_lat + exp.d_ss)
         to_switch = self.sim.lane(exp.d_ss)
 
         self.factory = RequestFactory(
@@ -56,8 +57,9 @@ class RackRun:
         self._arr_rnds = [self.streams.get(f"arrivals/{c}").random
                           for c in range(spec.clients)]
         self._gen_token = 0
-        self._rate_pc = 0.0      # per-client arrival rate, requests per us
-        self._set_rate(spec.rate_rps)
+        self._send = self._ev_send      # bound once, rescheduled per send
+        # per-client arrival rate, requests per us
+        self._rate_pc = spec.rate_rps / 1e6 / spec.clients
 
         # generation window and measurement window
         if exp.duration_us is not None:
@@ -70,50 +72,42 @@ class RackRun:
         self.w1 = self.t_arr_end
         self.hard_end = self.t_arr_end + exp.drain_us
 
-        priorities = [c.priority for c in spec.classes]
-        self.servers = []
-        for sid in range(spec.n_servers):
-            srv = Server(
-                sid, spec.workers[sid], spec.intra_kind, self.sim, to_switch,
-                self._ev_rep, n_classes=len(spec.classes), slice_us=exp.slice_us,
-                preempt_threshold_us=exp.preempt_threshold_us,
-                ctx_switch_us=exp.ctx_switch_us,
-                preempt_latency_us=exp.preempt_latency_us,
-                tracking=spec.tracking, wfq_weights=exp.wfq_weights,
-                priorities=priorities)
-            self.servers.append(srv)
-
-        self.client_mode = spec.client_mode
-        if self.client_mode:
-            self.switch = None
-            # a sampling policy, which takes no salt: client mode draws
-            # nothing from the "hashing" stream
-            select = make_policy(spec.policy_kind, len(spec.classes), 0,
-                                 k=spec.policy_k).select
-            self.views = [ClientView(spec.n_servers, select)
-                          for _ in range(spec.clients)]
-            self.elig_all = list(range(spec.n_servers))
-            self.rnd_choice = self.streams.get("sampling")
-            self.dispatch_hist = [0] * spec.n_servers
-        else:
-            rnd_h = self.streams.get("hashing")
-            salts = [rnd_h.getrandbits(61) for _ in range(exp.rt_stages)]
-            policy_salt = rnd_h.getrandbits(61)
-            fallback_salt = rnd_h.getrandbits(61)
-            table = ReqTable(exp.rt_stages, exp.rt_slots, salts,
-                             ttl_us=exp.rt_ttl_us)
-            policy = make_policy(spec.policy_kind, len(spec.classes), policy_salt,
-                                 k=spec.policy_k, bound=spec.policy_bound)
-            self.switch = Switch(
-                spec.n_servers, len(spec.classes), spec.loc_sets,
-                list(spec.active0), policy, spec.tracking, table,
-                self.streams.get("sampling"), self.streams.get("loss"),
-                fallback_salt, rep_loss_prob=spec.rep_loss_prob,
-                trace_affinity=trace_affinity)
-            for srv in self.servers:
-                srv.drop_sink = self.switch.mark_dropped
-
         n_classes = len(spec.classes)
+        rnd_h = self.streams.get("hashing")
+        salts = [rnd_h.getrandbits(61) for _ in range(exp.rt_stages)]
+        policy_salt = rnd_h.getrandbits(61)
+        fallback_salt = rnd_h.getrandbits(61)
+        table = ReqTable(exp.rt_stages, exp.rt_slots, salts,
+                         ttl_us=exp.rt_ttl_us)
+        self.views = None       # the clients' views, under client dispatch
+        if spec.policy_kind == "client":
+            policy = ClientPolicy(spec.n_servers, spec.clients,
+                                  SamplingPolicy(spec.policy_k).select)
+            self.views = policy.views
+        else:
+            policy = make_policy(spec.policy_kind, n_classes, policy_salt,
+                                 k=spec.policy_k, bound=spec.policy_bound)
+        # the switch reads no load for the clients' pick, which an int2 pair
+        # would replace; the servers report as `spec.tracking` says
+        self.switch = Switch(
+            spec.n_servers, n_classes, spec.loc_sets, list(spec.active0),
+            policy, INT1 if self.views else spec.tracking, table,
+            self.streams.get("sampling"), self.streams.get("loss"),
+            fallback_salt, rep_loss_prob=spec.rep_loss_prob,
+            trace_affinity=trace_affinity)
+
+        priorities = [c.priority for c in spec.classes]
+        self.servers = [
+            Server(sid, spec.workers[sid], spec.intra_kind, self.sim,
+                   to_switch, self._ev_rep, self.switch.mark_dropped,
+                   n_classes=n_classes, slice_us=exp.slice_us,
+                   preempt_threshold_us=exp.preempt_threshold_us,
+                   ctx_switch_us=exp.ctx_switch_us,
+                   preempt_latency_us=exp.preempt_latency_us,
+                   tracking=spec.tracking, wfq_weights=exp.wfq_weights,
+                   priorities=priorities)
+            for sid in range(spec.n_servers)]
+
         # per class: latency samples as unboxed doubles, 8 B each
         self.samples = [array("d") for _ in range(n_classes)]
         self.arrivals = [0] * n_classes
@@ -126,11 +120,12 @@ class RackRun:
 
     # -- rate control ------------------------------------------------------------
 
-    def _set_rate(self, rate_rps: float):
-        self._rate_pc = rate_rps / 1e6 / self.spec.clients
-
-    def _next_gap(self, client: int) -> float:
-        return -log(1.0 - self._arr_rnds[client]()) / self._rate_pc
+    def _start_sends(self, now: float, token: int) -> None:
+        """Start each client's send chain, as `_ev_send` continues it."""
+        if self._rate_pc > 0.0:
+            for c in range(self.spec.clients):
+                self.sim.schedule(now - log(1.0 - self._arr_rnds[c]())
+                                  / self._rate_pc, self._send, (c, token))
 
     # -- event handlers ------------------------------------------------------------
 
@@ -143,7 +138,8 @@ class RackRun:
         t_send = now - self.d_cs
         if t_send >= self.t_arr_end:
             return
-        self.sim.schedule(now + self._next_gap(client), self._ev_send, arg)
+        self.sim.schedule(now - log(1.0 - self._arr_rnds[client]())
+                          / self._rate_pc, self._send, arg)
         members = self.factory.make_request(client, t_send)
         if not members:
             return
@@ -153,31 +149,22 @@ class RackRun:
                 req.measured = True
                 arrivals[req.tag] += 1
 
-        if self.client_mode:
-            # every packet goes straight to the server the client picked
-            dst = self.views[client].choose(self.elig_all, self.rnd_choice)
-            self.dispatch_hist[dst] += len(members)
-            t0 = now + self.fwd_delay
-            handler = self.servers[dst].on_packet
-            skip = 0
-        else:
-            first = members[0]
-            dst = self.switch.route_reqf(first, now)
-            if dst is not None and dst >= 0:
-                self._to_server(now, self.servers[dst].on_packet, first)
-            if not self._trailing:
-                return
-            # trailing packets and any further group members follow as REQR
-            t0 = now
-            handler = self._ev_reqr
-            skip = 1    # the first packet went through route_reqf
-        # packets leave gap_us apart, a group's members one after another
+        first = members[0]
+        dst = self.switch.route_reqf(first, now)
+        if dst is not None and dst >= 0:
+            self._to_server(now, self.servers[dst].on_packet, first)
+        if not self._trailing:
+            return
+        # trailing packets and any further group members follow as REQR,
+        # gap_us apart, a group's members one after another
         schedule = self.sim.schedule
+        reqr = self._ev_reqr
         gap = self.gap_us
-        offset = gap if skip else 0.0
+        offset = gap
+        skip = 1    # the first packet went through route_reqf
         for m in members:
             for _ in range(m.packets - skip):
-                schedule(t0 + offset, handler, m)
+                schedule(now + offset, reqr, m)
                 offset += gap
             skip = 0
 
@@ -188,14 +175,26 @@ class RackRun:
 
     def _ev_rep(self, now: float, arg):
         """A server's reply at the switch; the server pushed it onto the
-        server-to-switch lane."""
-        if self.client_mode:
-            self.sim.schedule(now + self.rep_delay, self._ev_client_rep, arg)
-            return
+        server-to-switch lane. A delivered reply completes its request at
+        its client, `rep_delay` later, and is recorded here."""
         req, src, load, final = arg
         delivered, release = self.switch.note_rep(req, src, load, final, now)
         if delivered:
-            self._record(req, now + self.rep_delay)
+            done = now + self.rep_delay
+            if self.views is not None:
+                self.sim.schedule(done, self._ev_client_rep, arg)
+            self.completed_total += 1
+            tag = req.tag
+            if req.measured:
+                self.samples[tag].append(done - req.arrival)
+                if req.fallback:
+                    self.fallbacks[tag] += 1
+            if self.bucket_us:
+                row = self.buckets[tag]
+                idx = int(done / self.bucket_us)
+                while len(row) <= idx:
+                    row.append(0)
+                row[idx] += 1
         if release is not None:
             self._forward(now, release)
 
@@ -208,23 +207,9 @@ class RackRun:
             self._to_server(now, on_packet, m)
 
     def _ev_client_rep(self, now: float, arg):
+        """The reply reaches its client, whose view takes the load report."""
         req, src, load, _final = arg
         self.views[req.client].observe(src, load)
-        self._record(req, now)
-
-    def _record(self, req, done: float):
-        self.completed_total += 1
-        if req.measured:
-            tag = req.tag
-            self.samples[tag].append(done - req.arrival)
-            if req.fallback:
-                self.fallbacks[tag] += 1
-        if self.bucket_us:
-            row = self.buckets[req.tag]
-            idx = int(done / self.bucket_us)
-            while len(row) <= idx:
-                row.append(0)
-            row[idx] += 1
 
     # -- timeline / instrumentation -------------------------------------------------
 
@@ -246,15 +231,12 @@ class RackRun:
                     self.switch.mark_dropped(req)
                 self.sim.schedule(now + ev["purge_delay_us"], self._ev_purge, sid)
         elif kind == "set_load":
-            self._set_rate(ev["load"] * self.exp.capacity_rps)
+            self._rate_pc = (ev["load"] * self.exp.capacity_rps / 1e6
+                             / self.spec.clients)
             self._gen_token += 1
-            arg_token = self._gen_token
-            if self._rate_pc > 0.0:
-                for c in range(self.spec.clients):
-                    self.sim.schedule(now + self.d_cs + self._next_gap(c),
-                                      self._ev_send, (c, arg_token))
+            self._start_sends(now, self._gen_token)
         else:  # set_mix
-            self.factory.set_weights(ev["weights"], now)
+            self.factory.set_weights(ev["weights"], ev["at_us"])
 
     def _ev_recover(self, now: float, _arg):
         self.switch.recover()
@@ -285,18 +267,19 @@ class RackRun:
     def run(self) -> MetricsRecord:
         t0 = time.perf_counter()
         spec, exp = self.spec, self.exp
-        if self._rate_pc > 0.0:
-            for c in range(spec.clients):
-                self.sim.schedule(self.d_cs + self._next_gap(c),
-                                  self._ev_send, (c, 0))
+        self._start_sends(self.d_cs, 0)
         for ev in exp.timeline:
-            self.sim.schedule(ev["at_us"], self._ev_timeline, ev)
+            # load and mix change at a send time, so at the switch d_cs later
+            at = ev["at_us"]
+            if ev["kind"] in ("set_load", "set_mix"):
+                at += self.d_cs
+            self.sim.schedule(at, self._ev_timeline, ev)
         if exp.census_interval_us is not None:
             self._rnd_census = self.streams.get("census")
             first = self.w0 - log(1.0 - self._rnd_census.random()) * exp.census_interval_us
             if first < self.w1:
                 self.sim.schedule(first, self._ev_census, None)
-        if self.switch is not None and exp.rt_ttl_us:
+        if exp.rt_ttl_us:
             self._maint_period = exp.rt_ttl_us / 2.0
             self.sim.schedule(self._maint_period, self._ev_maint, None)
 
@@ -311,11 +294,10 @@ class RackRun:
             fallbacks=self.fallbacks,
             injected=self.factory.created,
             completed=self.completed_total,
-            dropped=self.switch.dropped_requests if self.switch else 0,
-            dispatch_hist=(list(self.switch.dispatch_hist)
-                           if self.switch is not None else list(self.dispatch_hist)),
-            fallback_inserts=self.switch.fallback_insert if self.switch else 0,
-            fallback_reads=self.switch.fallback_read if self.switch else 0,
+            dropped=self.switch.dropped_requests,
+            dispatch_hist=list(self.switch.dispatch_hist),
+            fallback_inserts=self.switch.fallback_insert,
+            fallback_reads=self.switch.fallback_read,
             census_system=self.census_system,
             census_waiting=self.census_waiting,
             buckets=self.buckets,
@@ -325,10 +307,9 @@ class RackRun:
         return rec
 
 
-def run_point(exp: ExperimentConfig, variant: str, load: float, seed: int,
-              trace_affinity: bool = False) -> MetricsRecord:
-    spec = exp.build_runspec(variant, load, seed)
-    return RackRun(spec, trace_affinity=trace_affinity).run()
+def run_point(exp: ExperimentConfig, variant: str, load: float,
+              seed: int) -> MetricsRecord:
+    return RackRun(exp.build_runspec(variant, load, seed)).run()
 
 
 # -- sweep driver -----------------------------------------------------------------

@@ -18,8 +18,9 @@ void). A token is the event's only argument: tokens of worker `wid` are
 congruent to `wid` modulo the worker count, so the token also names its
 worker. A reply goes out through the server-to-switch push and handler the
 server is given at construction, as `reply(now, on_reply, (req, sid, load,
-final))`, so the server never needs to know about network delays or the
-switch.
+final))`, and a packet that reaches a failed server goes to the drop sink it
+is given with them, so the server never needs to know about network delays
+or the switch.
 
 One timer per uninterrupted run. A sliced request whose worker finds nothing
 else queued at a slice end is handed straight back to the same worker, so
@@ -57,7 +58,7 @@ DISCIPLINES = {
 
 class Server:
     def __init__(self, sid: int, n_workers: int, intra: str, sim, reply,
-                 on_reply, n_classes: int = 1, slice_us: float = 25.0,
+                 on_reply, drop_sink, n_classes: int = 1, slice_us: float = 25.0,
                  preempt_threshold_us: float | None = None,
                  ctx_switch_us: float = 0.0, preempt_latency_us: float = 5.0,
                  tracking: str = "int1", wfq_weights: list[float] | None = None,
@@ -72,6 +73,7 @@ class Server:
         self.sim = sim
         self.reply = reply          # push(now, fn, arg) toward the switch
         self.on_reply = on_reply    # the handler each reply fires there
+        self.drop_sink = drop_sink  # takes each packet lost to a failure
         self.n_classes = n_classes
         self.cap = preempt_threshold_us if to_threshold else slice_us
         self.ctx_us = ctx_switch_us
@@ -87,6 +89,7 @@ class Server:
         # pick also advances the round-robin credit.
         self._credit = key == "client"
 
+        self.on_packet, self._timer = self.on_packet, self._on_worker  # bound once
         self.w_req: list = [None] * n_workers
         self.w_start = [0.0] * n_workers
         # quantum of the running slice; above the cap, a coalesced run, whose
@@ -125,7 +128,6 @@ class Server:
         self.in_system = 0                      # queued + running
         self.failed = False
         self.partial: dict = {}                 # multi-packet reassembly
-        self.drop_sink = None                   # set by the runner
 
     # -- packet arrival --------------------------------------------------------
 
@@ -133,8 +135,7 @@ class Server:
         """One request packet delivered (event-handler signature); the request
         enters the queue once all its packets are here."""
         if self.failed:
-            if self.drop_sink is not None:
-                self.drop_sink(req)
+            self.drop_sink(req)
             return
         if req.packets > 1:
             left = req.pkts_pending - 1
@@ -241,7 +242,7 @@ class Server:
         else:
             end = start + cap
             self.w_q[wid] = cap
-        self.sim.schedule(end, self._on_worker, token)
+        self.sim.schedule(end, self._timer, token)
 
     def _cut_runs(self, now: float) -> None:
         """A request queued behind busy workers: every coalesced run goes
@@ -265,7 +266,7 @@ class Server:
                 w_q[wid] = cap
                 token = self.w_token[wid] + self.n_workers
                 self.w_token[wid] = token
-                self.sim.schedule(start + cap, self._on_worker, token)
+                self.sim.schedule(start + cap, self._timer, token)
             else:
                 w_q[wid] = rem      # the last slice: the run-end timer stands
         self._runs = 0
@@ -282,7 +283,6 @@ class Server:
             self.rem_sum[tag] -= q
         self.w_req[wid] = None
         self.w_last[wid] = req
-        self.idle.append(wid)
         self.busy -= 1
         if req.remaining <= 0.0:
             self.outstanding[tag] -= 1
@@ -298,8 +298,12 @@ class Server:
             self.reply(now, self.on_reply, (req, self.sid, load, final))
         else:
             self._push(req)
-        if self.in_system > self.busy or self._credit:
-            self._dispatch(now)
+        if self.in_system > self.busy and not self._credit:
+            self._assign(wid, self._pick(), now)    # as `_dispatch` would
+        else:
+            self.idle.append(wid)
+            if self._credit:
+                self._dispatch(now)
 
     def current_load(self, tag: int, now: float) -> float:
         """INT3's piggybacked load: remaining service microseconds of the

@@ -15,9 +15,11 @@ FIFO map from req_id to the request and its buffered follow-on packets.
 A REQR whose mapping is missing (table overflow, post-failure) falls back to
 hash routing over the *physical* membership of the request's locality set so
 that every packet of a request still reaches one server.
-Each policy's `select` is its chooser, called once per dispatch; the
-power-of-k one, `SamplingPolicy.select`, is also the chooser each client
-runs over its own view in client-dispatch mode (`baselines.ClientView`).
+Each policy's `select` is its chooser, called once per dispatch. Every
+request passes through the switch whatever the policy: client-based
+dispatch is the policy `baselines.ClientPolicy`, whose `select` returns the
+server the request's client picked with `SamplingPolicy.select` over its
+own view (`baselines.ClientView`).
 The request table is keyed by req_id, so a read or remove needs no probe.
 
 Per-stage hashes use CPython's built-in tuple hashing (ints are not salted by
@@ -315,8 +317,7 @@ class Switch:
         self.stalled: OrderedDict = OrderedDict()
         self.failed = False
 
-        self.elig: list[list[int]] = []
-        self._rebuild_eligible()
+        self._rebuild_eligible()            # sets `elig`
 
         # route_reqf selects over the request's class row of `loads`, both
         # bound once here; recover() zeroes the rows in place to keep them.
@@ -464,7 +465,6 @@ class Switch:
         if self.failed:
             self.mark_dropped(req)
             return False, None
-        release = None
         if final:
             self.reqtable.remove(req.req_id)
             if self.rep_loss_prob > 0.0 and self.rnd_loss.random() < self.rep_loss_prob:
@@ -484,8 +484,8 @@ class Switch:
             else:  # INT1, INT3: the report overwrites
                 self.loads[req.tag][src] = load_report
             if self.stalled:
-                release = self._release_head(now)
-        return True, release
+                return True, self._release_head(now)
+        return True, None
 
     def _release_head(self, now: float):
         """Dispatch the head of the non-empty stall FIFO if it now places;

@@ -9,6 +9,7 @@ stream).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import log
 from random import Random
 
@@ -17,29 +18,22 @@ class ServiceDistribution:
     """A service-time law: exponential, deterministic, or a point mixture
     (bimodal/trimodal)."""
 
-    __slots__ = ("kind", "mean_us", "_points", "_cum")
+    __slots__ = ("kind", "mean_us", "_cum")
 
     def __init__(self, kind: str, mean_us: float, points=None):
         self.kind = kind
-        self._points = points
+        self._cum = None        # (cumulative probability, value) per point
         if points is not None:
-            self._cum = []
-            acc = 0.0
-            for prob, value in points:
-                acc += prob
-                self._cum.append((acc, value))
+            probs, values = zip(*points)
+            self._cum = list(zip(accumulate(probs), values))
             mean_us = sum(p * v for p, v in points)
-        else:
-            self._cum = None
         self.mean_us = mean_us
 
     @classmethod
     def from_config(cls, block: dict) -> "ServiceDistribution":
         kind = block["kind"]
-        if kind == "exponential":
-            return cls("exponential", float(block["mean_us"]))
-        if kind == "deterministic":
-            return cls("deterministic", float(block["mean_us"]))
+        if kind in ("exponential", "deterministic"):
+            return cls(kind, float(block["mean_us"]))
         if kind in ("bimodal", "trimodal"):
             modes = [(float(p), float(v)) for p, v in block["modes"]]
             return cls(kind, 0.0, modes)

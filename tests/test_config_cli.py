@@ -192,7 +192,7 @@ class TestRunSpec:
         spec = exp.build_runspec("default", 0.5, 1)
         assert spec.n_servers == 1 and spec.workers == [64]
         assert spec.policy_kind == "hash" and spec.intra_kind == "ps"
-        assert spec.loc_sets == [[0]] and not spec.client_mode
+        assert spec.loc_sets == [[0]] and spec.policy_kind != "client"
 
     def test_global_cfcfs_forces_fcfs_discipline(self):
         exp = parse(policy={"kind": "global-cfcfs"}, intra={"kind": "ps"})
@@ -201,7 +201,7 @@ class TestRunSpec:
     def test_client_variant_samples_at_clients(self):
         exp = parse(policy={"kind": "client", "k": 2, "clients": 100})
         spec = exp.build_runspec("default", 0.5, 1)
-        assert spec.client_mode and spec.policy_kind == "sampling"
+        assert spec.policy_kind == "client"
         assert spec.clients == 100 and spec.n_servers == 8
 
     def test_rate_scales_with_load(self):

@@ -128,3 +128,53 @@ def test_lane_limits():
     sim.lane(2.0)
     with pytest.raises(SimulationError):
         sim.lane(3.0)
+
+
+def test_a_raising_handler_leaves_the_loop_as_a_pop_would():
+    # the raising event is gone, the events it scheduled stay, and the next
+    # run dispatches the rest once each, in order
+    sim = EventLoop()
+    seen = []
+
+    def boom(now, a):
+        sim.schedule(now + 1.0, lambda n, x: seen.append((n, x)), "child")
+        raise ValueError(a)
+
+    sim.schedule(1.0, lambda now, a: seen.append((now, a)), "first")
+    sim.schedule(2.0, boom, "boom")
+    sim.schedule(2.5, lambda now, a: seen.append((now, a)), "after")
+    with pytest.raises(ValueError):
+        sim.run_until(10.0)
+    assert seen == [(1.0, "first")]
+    sim.run_until(10.0)
+    assert seen == [(1.0, "first"), (2.5, "after"), (3.0, "child")]
+    assert sim.now == 10.0
+    sim.run_until(20.0)     # no end marker of the first run is left behind
+    assert len(seen) == 3 and sim.now == 20.0
+
+
+def test_run_until_an_earlier_time_keeps_the_clock():
+    sim = EventLoop()
+    seen = []
+    sim.schedule(5.0, lambda now, a: seen.append(now), None)
+    sim.run_until(6.0)
+    sim.schedule(8.0, lambda now, a: seen.append(now), None)
+    sim.run_until(4.0)
+    assert sim.now == 6.0 and seen == [5.0]
+    sim.run_until(8.0)
+    assert seen == [5.0, 8.0]
+
+
+def test_a_handler_that_raises_before_scheduling_is_not_run_again():
+    sim = EventLoop()
+    calls = []
+
+    def boom(now, a):
+        calls.append(now)
+        raise ValueError(a)
+
+    sim.schedule(2.0, boom, "boom")
+    with pytest.raises(ValueError):
+        sim.run_until(10.0)
+    sim.run_until(10.0)
+    assert calls == [2.0]

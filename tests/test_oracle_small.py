@@ -25,16 +25,16 @@ def run_sim(arrivals, services, n_servers, n_workers, intra, slice_us,
     def on_reply(now, arg):
         done[arg[0].req_id] = now
 
-    servers = [
-        Server(s, n_workers, intra, sim, reply, on_reply, n_classes=1,
-               slice_us=slice_us, preempt_threshold_us=threshold)
-        for s in range(n_servers)
-    ]
     table = ReqTable(2, 64, [11, 22], ttl_us=None)
     switch = Switch(
         n_servers, 1, [list(range(n_servers))], [True] * n_servers,
         make_policy("rr", 1, 0), "int1", table,
         random.Random(1), random.Random(2), fallback_salt=999)
+    servers = [
+        Server(s, n_workers, intra, sim, reply, on_reply, switch.mark_dropped,
+               n_classes=1, slice_us=slice_us, preempt_threshold_us=threshold)
+        for s in range(n_servers)
+    ]
 
     def route(now, req):
         dst = switch.route_reqf(req, now)

@@ -5,8 +5,10 @@ import tracemalloc
 
 import pytest
 
+from racksim.baselines import ClientView
 from racksim.config import POLICY_KINDS, RACK_BASELINES, ExperimentConfig
-from racksim.runner import RackRun, run_point
+from racksim.engine import EventLoop
+from racksim.runner import CSV_COLUMNS, RackRun, _format_row, run_point
 from racksim.server import DISCIPLINES
 from racksim.switchsim import TRACKING_KINDS
 
@@ -112,6 +114,170 @@ def test_client_mode_runs_clean():
     exp = make_exp(policy={"kind": "client", "k": 2, "clients": 16})
     rec = run_point(exp, "default", 0.6, 1)
     assert rec.in_flight() == 0 and rec.completed > 0
+
+
+def test_client_views_take_each_reply_when_it_reaches_the_client(monkeypatch):
+    # a view learns a reply's load report client_switch_us plus
+    # switch_latency_us after the reply passed the switch, not at the switch
+    exp = make_exp(policy={"kind": "client", "k": 2, "clients": 16},
+                   network={"client_switch_us": 400.0,
+                            "switch_latency_us": 3.0},
+                   sweep={"loads": [0.6], "seeds": [1],
+                          "requests_per_point": 2000})
+    rr = RackRun(exp.build_runspec("default", 0.6, 1))
+    expected = []
+    observed = []
+    note_rep = rr.switch.note_rep
+
+    def noting(req, src, load, final, now):
+        expected.append((now + (3.0 + 400.0), req.client, src, load))
+        return note_rep(req, src, load, final, now)
+
+    observe = ClientView.observe
+
+    def observing(view, server, load):
+        client = next(c for c, v in enumerate(rr.views) if v is view)
+        observed.append((rr.sim.now, client, server, load))
+        observe(view, server, load)
+
+    rr.switch.note_rep = noting
+    monkeypatch.setattr(ClientView, "observe", observing)
+    rec = rr.run()
+    assert rec.completed == rec.injected == len(observed) > 0
+    assert sorted(observed) == sorted(expected)
+
+
+def test_client_dispatch_under_int2_tracking_keeps_the_clients_pick():
+    # the switch reads no load under client dispatch, so its int2 pair must
+    # not stand in for the clients' pick; servers report alike under both
+    runs = [run_point(make_exp(policy={"kind": "client", "k": 2},
+                               tracking={"kind": kind}), "default", 0.6, 1)
+            for kind in ("int1", "int2")]
+    assert runs[0].samples == runs[1].samples
+    assert runs[0].dispatch_hist == runs[1].dispatch_hist
+
+
+def test_client_dispatch_skips_servers_not_yet_active():
+    # the clients pick among the switch's eligible servers, so a server
+    # outside `initial_active` gets nothing, as under switch dispatch
+    exp = make_exp(policy={"kind": "client", "k": 2},
+                   servers={"count": 4, "workers": 4,
+                            "initial_active": [0, 1, 2]})
+    rec = run_point(exp, "default", 0.6, 1)
+    assert rec.dispatch_hist[3] == 0
+    assert sum(rec.dispatch_hist) == rec.injected == rec.completed
+
+
+def test_client_dispatch_takes_the_table_full_fallback():
+    # a client's pick that the table cannot place is hashed like any other
+    # request, and its trailing packets follow it there
+    raw = {
+        "name": "client-fallback",
+        "servers": {"count": 4, "workers": 2},
+        "workload": {"clients": 8, "classes": [
+            {"tag": "rpc", "packets": 3,
+             "service": {"kind": "exponential", "mean_us": 30.0}}]},
+        "policy": {"kind": "client", "k": 2},
+        "reqtable": {"stages": 1, "slots_per_stage": 4},
+        "sweep": {"loads": [0.7], "seeds": [2], "requests_per_point": 5000},
+    }
+    rec, rr = run_traced(ExperimentConfig.from_dict(raw), "default", 0.7, 2)
+    assert rec.dropped == 0 and rec.completed == rec.injected
+    assert rr.switch.affinity_violations == 0
+    assert rec.fallback_inserts > 0
+    row = _format_row(0.7, 2, 0, rec)
+    assert int(row[CSV_COLUMNS.index("fallback_count")]) > 0
+
+
+@pytest.mark.parametrize("policy,heap", [({"kind": "sampling", "k": 2}, 2),
+                                         ({"kind": "client", "k": 2}, 3)])
+def test_events_per_single_packet_request(monkeypatch, policy, heap):
+    # switch dispatch: the send and the worker timer on the heap, the two
+    # hops on lanes; client dispatch adds the reply's arrival at its client
+    pushes = {"heap": 0, "lane": 0}
+    schedule = EventLoop.schedule
+
+    def scheduling(loop, time, fn, arg=None):
+        if getattr(fn, "__func__", None) is not RackRun._ev_maint:
+            pushes["heap"] += 1
+        schedule(loop, time, fn, arg)
+
+    def laned(push):
+        def pushing(now, fn, arg=None):
+            pushes["lane"] += 1
+            push(now, fn, arg)
+        return pushing
+
+    monkeypatch.setattr(EventLoop, "schedule", scheduling)
+    exp = make_exp(policy=policy, sweep={"loads": [0.6], "seeds": [1],
+                                         "requests_per_point": 2000})
+    spec = exp.build_runspec("default", 0.6, 1)
+    rr = RackRun(spec)
+    rr._to_server = laned(rr._to_server)
+    for srv in rr.servers:
+        srv.reply = laned(srv.reply)
+    rec = rr.run()
+    assert rec.dropped == 0 and rec.completed == rec.injected > 0
+    # each client's arrival chain also pushes its first send and one that
+    # falls past the end of the arrivals
+    assert pushes["heap"] - spec.clients == heap * rec.injected
+    assert pushes["lane"] == 2 * rec.injected
+
+
+def _send_times(rr):
+    """Wrap the run's request factory; returns the list of (send time, class
+    tag) it fills as requests are made."""
+    sent = []
+    make_request = rr.factory.make_request
+
+    def making(client, now):
+        members = make_request(client, now)
+        sent.extend((now, m.tag) for m in members)
+        return members
+
+    rr.factory.make_request = making
+    return sent
+
+
+def _timeline_run(timeline, classes=None):
+    raw = {
+        "name": "timeline",
+        "servers": {"count": 2, "workers": 2},
+        "network": {"client_switch_us": 200.0},
+        "workload": {"classes": classes or [
+            {"tag": "a", "service": {"kind": "exponential", "mean_us": 20.0}}]},
+        "policy": {"kind": "sampling", "k": 2},
+        "timeline": timeline,
+        "sweep": {"loads": [0.5], "seeds": [1], "duration_us": 40000.0},
+    }
+    rr = RackRun(ExperimentConfig.from_dict(raw).build_runspec(
+        "default", 0.5, 1))
+    sent = _send_times(rr)
+    rec = rr.run()
+    assert rec.dropped == 0 and rec.completed == rec.injected
+    return sent
+
+
+def test_set_load_keeps_the_sends_before_its_time():
+    # a load change at 20 ms of send time keeps every request sent before
+    # it, the ones still on their way to the switch included
+    sent = _timeline_run([{"kind": "set_load", "at_us": 20000.0, "load": 0.5}])
+    bins = [0] * 200
+    for t, _ in sent:
+        bins[int(t // 200.0)] += 1
+    assert min(bins) > 0, f"empty 200 us bins at {[i for i, n in enumerate(bins) if not n]}"
+
+
+def test_set_mix_takes_effect_at_its_send_time():
+    svc = {"kind": "exponential", "mean_us": 20.0}
+    sent = _timeline_run(
+        [{"kind": "set_mix", "at_us": 20000.0, "weights": {"a": 0, "b": 1}}],
+        classes=[{"tag": "a", "service": svc},
+                 {"tag": "b", "weight": 0, "service": svc}])
+    a_times = [t for t, tag in sent if tag == 0]
+    b_times = [t for t, tag in sent if tag == 1]
+    assert a_times and b_times
+    assert max(a_times) < 20000.0 <= min(b_times)
 
 
 def test_multi_packet_requests_stay_on_one_server():
@@ -351,30 +517,27 @@ def test_packets_follow_the_send_schedule():
         rr, sent, delivered = _send_schedule_run(policy, gap)
         reqf = []
         reqr = {}       # req_id -> requests routed as REQR, in order
-        if rr.switch is not None:
-            route_reqf, route_reqr = rr.switch.route_reqf, rr.switch.route_reqr
+        route_reqf, route_reqr = rr.switch.route_reqf, rr.switch.route_reqr
 
-            def routing_reqf(req, now, route_reqf=route_reqf):
-                reqf.append(req)
-                return route_reqf(req, now)
+        def routing_reqf(req, now, route_reqf=route_reqf):
+            reqf.append(req)
+            return route_reqf(req, now)
 
-            def routing_reqr(req, route_reqr=route_reqr):
-                reqr.setdefault(req.req_id, []).append(req)
-                return route_reqr(req)
+        def routing_reqr(req, route_reqr=route_reqr):
+            reqr.setdefault(req.req_id, []).append(req)
+            return route_reqr(req)
 
-            rr.switch.route_reqf = routing_reqf
-            rr.switch.route_reqr = routing_reqr
+        rr.switch.route_reqf = routing_reqf
+        rr.switch.route_reqr = routing_reqr
         rec = rr.run()
         assert rec.dropped == 0 and rec.completed == rec.injected
         assert {len(m) for m in sent.values()} == {1, 2}
         assert {m[0].packets for m in sent.values()} == {2, 3}
-        if rr.switch is not None:
-            assert reqf == [m[0] for m in sent.values()]
+        assert reqf == [m[0] for m in sent.values()]
         for rid, members in sent.items():
             first = members[0]
-            if rr.switch is not None:
-                assert reqr.get(rid, []) == [first] * (first.packets - 1) + [
-                    r for r in members[1:] for _ in range(r.packets)]
+            assert reqr.get(rid, []) == [first] * (first.packets - 1) + [
+                r for r in members[1:] for _ in range(r.packets)]
             got = delivered[rid]
             assert [req for _, _, req in got] == [
                 r for r in members for _ in range(r.packets)]

@@ -36,8 +36,9 @@ class Harness:
     def __init__(self, intra, n_workers=1, **kw):
         self.sim = CountingLoop()
         self.done = []  # (req_id, completion_time, reported_load, final)
+        self.dropped = []
         self.server = Server(0, n_workers, intra, self.sim, self._reply,
-                             self._on_reply, **kw)
+                             self._on_reply, self.dropped.append, **kw)
 
     @staticmethod
     def _reply(now, fn, arg):
