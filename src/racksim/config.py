@@ -20,7 +20,8 @@ from .switchsim import MAX_STAGES, TRACKING_KINDS, stage_cost
 from .workload import ClassSpec, ServiceDistribution
 
 # rack-level baselines: dispatch at the clients, or one pooled server
-RACK_BASELINES = ("client", "global-cfcfs", "global-ps")
+GLOBAL_BASELINES = ("global-cfcfs", "global-ps")
+RACK_BASELINES = ("client", *GLOBAL_BASELINES)
 POLICY_KINDS = ("random", "hash", "rr", "shortest", "sampling", "jbsq",
                 *RACK_BASELINES)
 TIMELINE_KINDS = ("switch_fail", "add_server", "remove_server", "set_load", "set_mix")
@@ -424,7 +425,8 @@ class ExperimentConfig:
             if kind in RACK_BASELINES and uses_locality:
                 _fail("workload.classes",
                       f"locality sets are not meaningful under the {kind!r} baseline")
-            if kind in RACK_BASELINES and self.timeline:
+            # the one pooled server of a global baseline has no server ids
+            if kind in GLOBAL_BASELINES and self.timeline:
                 for ev in self.timeline:
                     if ev["kind"] in ("switch_fail", "add_server", "remove_server"):
                         _fail("timeline",
@@ -482,7 +484,7 @@ class ExperimentConfig:
     def build_runspec(self, variant: str, load: float, seed: int) -> RunSpec:
         v = self.variants[variant]
         kind = v["kind"]
-        global_mode = kind in ("global-cfcfs", "global-ps")
+        global_mode = kind in GLOBAL_BASELINES
 
         if global_mode:
             n_servers = 1

@@ -2,18 +2,19 @@
 servers into one event loop and measures the result.
 
 There is one packet path whatever the policy: client-based dispatch is the
-switch policy `baselines.ClientPolicy`. The hot path is deliberately flat. One event fires per first-packet at its
-switch-arrival time; that handler draws the next arrival for the same client,
-creates the request, and routes it, so a single-packet request costs four
-events end to end (send, server arrival, worker timer, reply at switch). The
-two fixed hops, switch to server and server to switch, ride FIFO lanes of the
-event loop rather than its heap; each server pushes its replies onto the
-server-to-switch lane itself. Reply delivery to the client is pure added
-delay, so every completion is recorded at the reply's switch-arrival event
-rather than with a fifth event. Client-based dispatch adds that fifth event
-only to update the client's view when the reply reaches it. Load and mix
-changes act at their `at_us` as a send time, other timeline events at the
-switch.
+switch policy `baselines.ClientPolicy`. The hot path is deliberately flat.
+One event fires per first-packet at its switch-arrival time; that handler
+draws the next arrival for the same client, creates the request, and routes
+it, so a single-packet request costs four events end to end (send, server
+arrival, worker timer, reply at switch). The two fixed hops, switch to
+server and server to switch, ride FIFO lanes of the event loop rather than
+its heap; each server pushes its replies onto the server-to-switch lane
+itself. Reply delivery to the client is pure added delay, so every
+completion is recorded at the reply's switch-arrival event rather than with
+a fifth event. Client-based dispatch adds that fifth event only to update
+the client's view when the reply reaches it. Load and mix changes act at
+their `at_us` as a send time, other timeline events at the switch; switch
+and server faults act under every policy but the pooled global baselines.
 """
 
 from __future__ import annotations

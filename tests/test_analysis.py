@@ -1,13 +1,16 @@
 """Statistics helpers and closed-form queueing references."""
 
+import builtins
 import math
 import random
+import tracemalloc
 from array import array
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import racksim.analysis as analysis
 from racksim.analysis import (
     MetricsRecord, erlang_c, jsq_equilibrium, mm1_sojourn_mean,
     mmc_sojourn_mean, mmc_sojourn_quantile, mmc_sojourn_tail,
@@ -239,26 +242,127 @@ class TestMetricsRecord:
             self.make().waiting_tail_fractions(2)
 
 
+def record(samples):
+    k = len(samples)
+    return MetricsRecord(
+        class_tags=[f"c{i}" for i in range(k)], window=(0.0, 1.0),
+        samples=samples, arrivals=[len(s) for s in samples],
+        completions=[len(s) for s in samples], fallbacks=[0] * k)
+
+
 @given(st.lists(st.lists(st.floats(min_value=0.0, exclude_min=True,
                                    allow_infinity=False),
                          min_size=1, max_size=300),
                 min_size=1, max_size=3))
 def test_array_samples_summarise_as_a_list(per_class):
     """The runner keeps samples in array('d'); every summary equals the one
-    of the same floats in a list, the reference."""
-    def record(samples):
-        k = len(samples)
-        return MetricsRecord(
-            class_tags=[f"c{i}" for i in range(k)], window=(0.0, 1.0),
-            samples=samples, arrivals=[len(s) for s in samples],
-            completions=[len(s) for s in samples], fallbacks=[0] * k)
-
+    of the same floats in a list."""
     ref = record([list(xs) for xs in per_class])
     got = record([array("d", xs) for xs in per_class])
     for i in range(len(per_class)):
         assert got.class_summary(i) == ref.class_summary(i)
     assert got.pooled_p99() == ref.pooled_p99()
     assert got.pooled_mean() == ref.pooled_mean()
+
+
+def reference(xs, ps):
+    """Mean and nearest-rank quantiles from one sorted copy: the mean folds
+    the ascending samples left to right in plain double additions."""
+    xs = sorted(xs)
+    total = 0.0
+    for x in xs:
+        total += x
+    return total / len(xs), [xs[math.ceil(p * len(xs)) - 1] for p in ps]
+
+
+def assert_matches_reference(per_class):
+    rec = record(per_class)
+    for i, xs in enumerate(per_class):
+        s = rec.class_summary(i)
+        mean, quantiles = reference(xs, (0.50, 0.99, 0.999))
+        assert s.mean_us == mean
+        assert [s.p50_us, s.p99_us, s.p999_us] == quantiles
+    pooled = [x for xs in per_class for x in xs]
+    assert rec.pooled_p99() == reference(pooled, (0.99,))[1][0]
+
+
+def exp_like(n, seed):
+    rnd = random.Random(seed)
+    return array("d", (2.0 - math.log(1.0 - rnd.random()) * 50.0
+                       for _ in range(n)))
+
+
+def tie_heavy(n, seed):
+    """Deterministic 50 us service at low load: nine in ten samples are the
+    bare service time plus the fixed path delay, the rest queued a little."""
+    rnd = random.Random(seed)
+    return array("d", (52.0 if rnd.random() < 0.9
+                       else 52.0 - math.log(1.0 - rnd.random()) * 5.0
+                       for _ in range(n)))
+
+
+# a few values drawn often, so that ties span chunks and buckets
+sample_values = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.sampled_from([1.0, 52.0, 52.5, 1e6]))
+
+
+@given(st.lists(st.lists(sample_values, min_size=1, max_size=200),
+                min_size=1, max_size=3))
+def test_summaries_match_an_independent_reference(per_class):
+    for chunk, buckets in ((1 << 14, 64), (5, 3), (16, 6)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_CHUNK", chunk)
+            mp.setattr(analysis, "_BUCKETS", buckets)
+            assert_matches_reference(per_class)
+            assert_matches_reference([array("d", xs) for xs in per_class])
+
+
+class TestOrderStats:
+    @pytest.mark.parametrize("kind", [list, lambda xs: array("d", xs)])
+    def test_ties_equal_samples_and_a_single_sample(self, kind, monkeypatch):
+        monkeypatch.setattr(analysis, "_CHUNK", 50)
+        monkeypatch.setattr(analysis, "_BUCKETS", 8)
+        rnd = random.Random(5)
+        heavy = [52.0 if rnd.random() < 0.9 else rnd.choice([3.0, 60.0, 75.5])
+                 for _ in range(1000)]
+        for per_class in ([heavy], [[7.25] * 1000], [[7.25]],
+                          [[7.25], heavy, [0.5] * 3]):
+            assert_matches_reference([kind(xs) for xs in per_class])
+
+    def test_many_chunks_at_the_default_sizes(self):
+        n = 3 * analysis._CHUNK + 17
+        assert_matches_reference([exp_like(n, 2), tie_heavy(n // 2, 3)])
+
+    @pytest.mark.parametrize("make", [exp_like, tie_heavy])
+    def test_no_sort_boxes_more_than_one_chunk(self, make, monkeypatch):
+        sizes = []
+
+        def counting_sorted(xs):
+            out = builtins.sorted(xs)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(analysis, "sorted", counting_sorted, raising=False)
+        rec = record([make(200_000, 4)])
+        rec.class_summary(0)
+        rec.pooled_p99()
+        assert max(sizes) <= analysis._CHUNK
+
+    @pytest.mark.parametrize("make", [exp_like, tie_heavy])
+    def test_peak_memory_per_sample(self, make):
+        n = 200_000
+        rec = record([make(n // 2, 6), make(n // 2, 7)])
+        merged = record([array("d", [*rec.samples[0], *rec.samples[1]])])
+        for summarise in (lambda: merged.class_summary(0), rec.pooled_p99):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                summarise()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * n, f"{peak / n:.1f} B per sample"
 
 
 class TestInsensitivityCheck:

@@ -8,7 +8,7 @@ import pytest
 
 from racksim.cli import main
 from racksim.config import ConfigError, ExperimentConfig
-from racksim.runner import CSV_COLUMNS, run_experiment
+from racksim.runner import CSV_COLUMNS, run_experiment, run_point
 
 from conftest import CONFIG_DIR, ROOT
 
@@ -24,6 +24,12 @@ def base_raw(**over):
 
 def parse(**over):
     return ExperimentConfig.from_dict(base_raw(**over))
+
+
+FAULTS = ({"kind": "switch_fail", "at_us": 8000.0, "duration_us": 3000.0},
+          {"kind": "remove_server", "at_us": 9000.0, "server": 3,
+           "planned": False},
+          {"kind": "add_server", "at_us": 12000.0, "server": 3})
 
 
 class TestDefaults:
@@ -54,6 +60,27 @@ class TestDefaults:
         exp = parse(servers={"count": 4, "workers": 8,
                              "initial_active": [0, 2]})
         assert exp.capacity_rps == pytest.approx(16 / 50.0 * 1e6)
+
+
+class TestFaultsUnderClientDispatch:
+    """Client-based dispatch passes through the switch, so switch and
+    server faults act on it as on any switch policy."""
+
+    def test_config_accepts_fault_events(self):
+        exp = parse(policy={"kind": "client"}, timeline=list(FAULTS))
+        assert [ev["kind"] for ev in exp.timeline] == \
+            ["switch_fail", "remove_server", "add_server"]
+
+    def test_switch_outage_conserves_requests(self):
+        exp = ExperimentConfig.from_dict(base_raw(
+            servers={"count": 4, "workers": 4},
+            workload={"service": {"kind": "exponential", "mean_us": 30.0}},
+            policy={"kind": "client"}, timeline=[FAULTS[0]],
+            sweep={"loads": [0.6], "seeds": [1], "requests_per_point": 5000}))
+        rec = run_point(exp, "default", 0.6, 1)
+        assert rec.dropped > 0
+        assert rec.in_flight() == 0
+        assert rec.injected == rec.completed + rec.dropped
 
 
 class TestReadme:
@@ -131,11 +158,12 @@ class TestRejection:
                         "service": {"kind": "exponential", "mean_us": 50.0}}]},
                    policy={"kind": "global-cfcfs"})
 
-    def test_fault_timeline_under_client_baseline(self):
-        self.check("switch-based dispatch",
-                   policy={"kind": "client"},
-                   timeline=[{"kind": "switch_fail", "at_us": 100.0,
-                              "duration_us": 50.0}])
+    def test_fault_timeline_under_global_baseline(self):
+        # the one pooled server of a global baseline has no server ids
+        for ev in FAULTS:
+            self.check(f"^timeline: {ev['kind']} events need switch-based "
+                       "dispatch, not 'global-cfcfs'$",
+                       policy={"kind": "global-cfcfs"}, timeline=[ev])
 
     def test_client_count_override_with_wfq_weights(self):
         raw = base_raw(intra={"kind": "wfq", "wfq_weights": [1, 1, 1, 1]})
