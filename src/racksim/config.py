@@ -6,6 +6,8 @@ ignored, so a typo in a sweep file fails loudly instead of silently running
 defaults. A config may name several policy variants; each (variant, load,
 seed) triple resolves to one RunSpec, which holds only what differs between
 points and refers back to the validated config for every other setting.
+Request classes and their service laws are parsed once, straight into the
+`ClassSpec` list that every point shares; no run changes it.
 """
 
 from __future__ import annotations
@@ -68,6 +70,12 @@ def _choice(block: dict, key: str, path: str, choices, default=None):
     return v
 
 
+def _server_id(x, n_servers: int) -> bool:
+    """Whether `x` names one of `n_servers` servers; JSON booleans do not."""
+    return (isinstance(x, int) and not isinstance(x, bool)
+            and 0 <= x < n_servers)
+
+
 def _parse_tracking(block: dict, path: str):
     """A tracking block, top-level or per variant: (kind, rep_loss_prob)."""
     _check_keys(block, {"kind", "rep_loss_prob"}, path)
@@ -80,29 +88,30 @@ def _parse_dist(block: dict, path: str) -> ServiceDistribution:
     kind = _choice(block, "kind", path,
                    ("exponential", "deterministic", "bimodal", "trimodal"))
     if kind in ("exponential", "deterministic"):
-        _num(block, "mean_us", path, None, lo=1e-9)
+        mean_us = _num(block, "mean_us", path, None, lo=1e-9)
         if "modes" in block:
             _fail(f"{path}.modes", f"not valid for kind {kind!r}")
-    else:
-        modes = block.get("modes")
-        want = 2 if kind == "bimodal" else 3
-        if not isinstance(modes, list) or len(modes) != want:
-            _fail(f"{path}.modes", f"{kind} needs exactly {want} [prob, value_us] pairs")
-        total = 0.0
-        for i, pair in enumerate(modes):
-            if not isinstance(pair, list) or len(pair) != 2:
-                _fail(f"{path}.modes[{i}]", "expected a [prob, value_us] pair")
-            p, v = pair
-            if not isinstance(p, (int, float)) or not 0.0 < p <= 1.0:
-                _fail(f"{path}.modes[{i}]", f"probability must be in (0, 1], got {p!r}")
-            if not isinstance(v, (int, float)) or v <= 0.0:
-                _fail(f"{path}.modes[{i}]", f"value_us must be > 0, got {v!r}")
-            total += p
-        if abs(total - 1.0) > 1e-9:
-            _fail(f"{path}.modes", f"probabilities must sum to 1, got {total}")
-        if "mean_us" in block:
-            _fail(f"{path}.mean_us", "not valid for mixture kinds (mean is implied)")
-    return ServiceDistribution.from_config(block)
+        return ServiceDistribution(kind, mean_us)
+    modes = block.get("modes")
+    want = 2 if kind == "bimodal" else 3
+    if not isinstance(modes, list) or len(modes) != want:
+        _fail(f"{path}.modes", f"{kind} needs exactly {want} [prob, value_us] pairs")
+    total = 0.0
+    for i, pair in enumerate(modes):
+        if not isinstance(pair, list) or len(pair) != 2:
+            _fail(f"{path}.modes[{i}]", "expected a [prob, value_us] pair")
+        p, v = pair
+        if not isinstance(p, (int, float)) or not 0.0 < p <= 1.0:
+            _fail(f"{path}.modes[{i}]", f"probability must be in (0, 1], got {p!r}")
+        if not isinstance(v, (int, float)) or v <= 0.0:
+            _fail(f"{path}.modes[{i}]", f"value_us must be > 0, got {v!r}")
+        total += p
+    if abs(total - 1.0) > 1e-9:
+        _fail(f"{path}.modes", f"probabilities must sum to 1, got {total}")
+    if "mean_us" in block:
+        _fail(f"{path}.mean_us", "not valid for mixture kinds (mean is implied)")
+    return ServiceDistribution(kind, 0.0, [(float(p), float(v))
+                                           for p, v in modes])
 
 
 @dataclass(slots=True)
@@ -119,7 +128,7 @@ class RunSpec:
     workers: list
     active0: list
     loc_sets: list
-    classes: list                # ClassSpec, rebuilt per run (mutable weights)
+    classes: list                # ClassSpec, the config's one list
     clients: int
     policy_kind: str
     policy_k: int
@@ -152,18 +161,17 @@ class ExperimentConfig:
         self._parse_workload(raw.get("workload", {}))
         self.tracking, self.rep_loss_prob = _parse_tracking(
             raw.get("tracking", {}), "tracking")
-        self._parse_variants(raw)
         self._parse_intra(raw.get("intra", {}))
         self._parse_reqtable(raw.get("reqtable", {}))
         self._parse_sweep(raw.get("sweep", {}))
         self._parse_timeline(raw.get("timeline", []))
+        self._parse_variants(raw)
 
         self.census_interval_us = _num(raw, "census_interval_us", "config", None,
                                        lo=1e-9, allow_none=True)
         self.bucket_us = _num(raw, "bucket_us", "config", None, lo=1e-9,
                               allow_none=True)
 
-        self._check_variants()
         self.capacity_rps = self._capacity_rps()
         canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
         self.config_sha256 = hashlib.sha256(canon.encode()).hexdigest()
@@ -190,7 +198,7 @@ class ExperimentConfig:
                 _fail("servers.initial_active", "must be a non-empty list of server ids")
             ids = set()
             for x in act:
-                if not isinstance(x, int) or not 0 <= x < self.n_servers:
+                if not _server_id(x, self.n_servers):
                     _fail("servers.initial_active", f"bad server id {x!r}")
                 ids.add(x)
             self.active0 = [i in ids for i in range(self.n_servers)]
@@ -215,7 +223,7 @@ class ExperimentConfig:
                 _fail(path, "must be a non-empty list of server ids")
             seen = set()
             for x in members:
-                if not isinstance(x, int) or not 0 <= x < self.n_servers:
+                if not _server_id(x, self.n_servers):
                     _fail(path, f"bad server id {x!r}")
                 if x in seen:
                     _fail(path, f"duplicate server id {x}")
@@ -230,21 +238,16 @@ class ExperimentConfig:
         self.gap_us = _num(block, "inter_packet_gap_us", "workload", 1.0, lo=0.0)
         if ("service" in block) == ("classes" in block):
             _fail("workload", "give exactly one of 'service' or 'classes'")
-        self.class_blocks = []
-        if "service" in block:
-            dist = _parse_dist(block["service"], "workload.service")
-            self.class_blocks.append({
-                "tag": "all", "weight": 1.0, "dist": dist, "priority": 0,
-                "locality": 0, "packets": 1, "group_size": 1,
-                "start_us": None, "stop_us": None,
-            })
-            return
-        classes = block["classes"]
+        shorthand = "service" in block
+        # the service shorthand is the one class "all", with every default
+        classes = ([{"tag": "all", "service": block["service"]}] if shorthand
+                   else block["classes"])
         if not isinstance(classes, list) or not classes:
             _fail("workload.classes", "must be a non-empty list")
+        self.classes = []
         tags = set()
         for i, cb in enumerate(classes):
-            path = f"workload.classes[{i}]"
+            path = "workload" if shorthand else f"workload.classes[{i}]"
             _check_keys(cb, {"tag", "weight", "service", "priority", "locality",
                              "packets", "group_size", "start_us", "stop_us"}, path)
             tag = cb.get("tag")
@@ -263,26 +266,30 @@ class ExperimentConfig:
                 loc_idx = self.loc_index.get(loc)
                 if loc_idx is None:
                     _fail(f"{path}.locality", f"unknown locality set {loc!r}")
-            self.class_blocks.append({
-                "tag": tag,
-                "weight": _num(cb, "weight", path, 1.0, lo=0.0),
-                "dist": dist,
-                "priority": _num(cb, "priority", path, 0, lo=0, integer=True),
-                "locality": loc_idx,
-                "packets": _num(cb, "packets", path, 1, lo=1, integer=True),
-                "group_size": _num(cb, "group_size", path, 1, lo=1, integer=True),
-                "start_us": _num(cb, "start_us", path, None, lo=0.0, allow_none=True),
-                "stop_us": _num(cb, "stop_us", path, None, lo=0.0, allow_none=True),
-            })
-        if not any(cb["weight"] > 0.0 for cb in self.class_blocks):
+            self.classes.append(ClassSpec(
+                tag, i, _num(cb, "weight", path, 1.0, lo=0.0), dist,
+                priority=_num(cb, "priority", path, 0, lo=0, integer=True),
+                locality=loc_idx,
+                packets=_num(cb, "packets", path, 1, lo=1, integer=True),
+                group_size=_num(cb, "group_size", path, 1, lo=1, integer=True),
+                start_us=_num(cb, "start_us", path, None, lo=0.0, allow_none=True),
+                stop_us=_num(cb, "stop_us", path, None, lo=0.0, allow_none=True),
+            ))
+        if not any(c.weight > 0.0 for c in self.classes):
             _fail("workload.classes", "at least one class needs weight > 0")
 
     def _parse_variants(self, raw: dict):
+        """The policy variants, each checked against the rest of the config,
+        so they are parsed after the workload, intra and timeline blocks."""
         if ("policy" in raw) == ("policies" in raw):
             _fail("config", "give exactly one of 'policy' or 'policies'")
         blocks = raw.get("policies") or {"default": raw["policy"]}
         if not isinstance(blocks, dict) or not blocks:
             _fail("policies", "must be a non-empty object of name -> policy")
+        uses_locality = any(c.locality != 0 for c in self.classes)
+        # the one pooled server of a global baseline has no server ids
+        faults = [ev["kind"] for ev in self.timeline
+                  if ev["kind"] in ("switch_fail", "add_server", "remove_server")]
         self.variants = {}
         for vname, pb in blocks.items():
             path = f"policies.{vname}" if "policies" in raw else "policy"
@@ -305,9 +312,34 @@ class ExperimentConfig:
                 track = _parse_tracking(pb["tracking"], tpath)
             else:
                 tpath, track = "tracking", (self.tracking, self.rep_loss_prob)
+            # rack baselines need pass-through forwarding only
+            cost = (1 if kind in RACK_BASELINES
+                    else stage_cost(kind, self.n_servers, k=k))
+            if cost > MAX_STAGES:
+                _fail(path, f"policy needs {cost} pipeline stages, budget is "
+                      f"{MAX_STAGES}")
+            if kind in RACK_BASELINES and uses_locality:
+                _fail("workload.classes",
+                      f"locality sets are not meaningful under the {kind!r} baseline")
+            if kind in GLOBAL_BASELINES and faults:
+                _fail("timeline", f"{faults[0]} events need switch-based "
+                      f"dispatch, not {kind!r}")
+            if (clients is not None and self.wfq_weights is not None
+                    and clients != self.clients):
+                _fail(f"{path}.clients",
+                      "cannot override the client count when wfq weights are "
+                      "per client")
+            # jbsq counts its shared row proactively, so piggyback tracking
+            # and reply loss would be dead config under jbsq
+            if kind == "jbsq" and track[0] != "int1":
+                _fail(f"{tpath}.kind",
+                      "jbsq tracks outstanding replies itself; use int1 with jbsq")
+            if kind == "jbsq" and track[1] > 0.0:
+                _fail(f"{tpath}.rep_loss_prob",
+                      "reply loss has no effect on jbsq's outstanding counts")
             self.variants[vname] = {"kind": kind, "k": k, "bound": bound,
                                     "clients": clients, "tracking": track,
-                                    "path": path, "tracking_path": tpath}
+                                    "cost": cost}
 
     def _parse_intra(self, block: dict):
         _check_keys(block, {"kind", "slice_us", "preempt_threshold_us",
@@ -368,7 +400,7 @@ class ExperimentConfig:
     def _parse_timeline(self, events):
         if not isinstance(events, list):
             _fail("timeline", "must be a list of events")
-        tags = {cb["tag"] for cb in self.class_blocks}
+        tags = {c.tag for c in self.classes}
         self.timeline = []
         for i, ev in enumerate(events):
             path = f"timeline[{i}]"
@@ -393,6 +425,10 @@ class ExperimentConfig:
                 if not isinstance(planned, bool):
                     _fail(f"{path}.planned", f"must be a boolean, got {planned!r}")
                 out["planned"] = planned
+                # a planned removal drains, so its mappings need no purge
+                if planned and "purge_delay_us" in ev:
+                    _fail(f"{path}.purge_delay_us",
+                          "only valid for an unplanned removal")
                 out["purge_delay_us"] = _num(ev, "purge_delay_us", path, 1000.0,
                                              lo=0.0)
             elif kind == "set_load":
@@ -412,52 +448,13 @@ class ExperimentConfig:
             self.timeline.append(out)
         self.timeline.sort(key=lambda e: e["at_us"])
 
-    # -- cross checks ----------------------------------------------------------
-
-    def _check_variants(self):
-        uses_locality = any(cb["locality"] != 0 for cb in self.class_blocks)
-        for vname, v in self.variants.items():
-            kind = v["kind"]
-            cost = self.variant_stage_cost(vname)
-            if cost > MAX_STAGES:
-                _fail(v["path"], f"policy needs {cost} pipeline stages, budget is "
-                      f"{MAX_STAGES}")
-            if kind in RACK_BASELINES and uses_locality:
-                _fail("workload.classes",
-                      f"locality sets are not meaningful under the {kind!r} baseline")
-            # the one pooled server of a global baseline has no server ids
-            if kind in GLOBAL_BASELINES and self.timeline:
-                for ev in self.timeline:
-                    if ev["kind"] in ("switch_fail", "add_server", "remove_server"):
-                        _fail("timeline",
-                              f"{ev['kind']} events need switch-based dispatch, "
-                              f"not {kind!r}")
-            if (v["clients"] is not None and self.wfq_weights is not None
-                    and v["clients"] != self.clients):
-                _fail(f"{v['path']}.clients",
-                      "cannot override the client count when wfq weights are "
-                      "per client")
-            # jbsq counts its shared row proactively, so piggyback tracking
-            # and reply loss would be dead config under jbsq
-            if kind == "jbsq" and v["tracking"][0] != "int1":
-                _fail(f"{v['tracking_path']}.kind", "jbsq tracks outstanding "
-                      "replies itself; use int1 with jbsq")
-            if kind == "jbsq" and v["tracking"][1] > 0.0:
-                _fail(f"{v['tracking_path']}.rep_loss_prob", "reply loss has no "
-                      "effect on jbsq's outstanding counts")
-
     def variant_stage_cost(self, vname: str) -> int:
-        v = self.variants[vname]
-        kind = v["kind"]
-        if kind in RACK_BASELINES:
-            return 1  # pass-through forwarding only
-        return stage_cost(kind, self.n_servers, k=v["k"])
+        return self.variants[vname]["cost"]
 
     def _capacity_rps(self) -> float:
         total_workers = sum(w for w, a in zip(self.workers, self.active0) if a)
-        wsum = sum(cb["weight"] for cb in self.class_blocks)
-        mean_us = sum(cb["weight"] * cb["dist"].mean_us
-                      for cb in self.class_blocks) / wsum
+        wsum = sum(c.weight for c in self.classes)
+        mean_us = sum(c.weight * c.dist.mean_us for c in self.classes) / wsum
         return total_workers / mean_us * 1e6
 
     # -- construction ----------------------------------------------------------
@@ -484,9 +481,7 @@ class ExperimentConfig:
     def build_runspec(self, variant: str, load: float, seed: int) -> RunSpec:
         v = self.variants[variant]
         kind = v["kind"]
-        global_mode = kind in GLOBAL_BASELINES
-
-        if global_mode:
+        if kind in GLOBAL_BASELINES:
             n_servers = 1
             workers = [sum(w for w, a in zip(self.workers, self.active0) if a)]
             active0 = [True]
@@ -501,16 +496,6 @@ class ExperimentConfig:
             policy_kind = kind
             intra_kind = self.intra_kind
 
-        classes = []
-        for i, cb in enumerate(self.class_blocks):
-            classes.append(ClassSpec(
-                tag=cb["tag"], index=i, weight=cb["weight"], dist=cb["dist"],
-                priority=cb["priority"],
-                locality=0 if global_mode else cb["locality"],
-                packets=cb["packets"], group_size=cb["group_size"],
-                start_us=cb["start_us"], stop_us=cb["stop_us"],
-            ))
-
         return RunSpec(
             exp=self,
             seed=seed,
@@ -518,7 +503,7 @@ class ExperimentConfig:
             workers=workers,
             active0=active0,
             loc_sets=loc_sets,
-            classes=classes,
+            classes=self.classes,
             clients=v["clients"] if v["clients"] is not None else self.clients,
             policy_kind=policy_kind,
             policy_k=v["k"],

@@ -15,6 +15,8 @@ a fifth event. Client-based dispatch adds that fifth event only to update
 the client's view when the reply reaches it. Load and mix changes act at
 their `at_us` as a send time, other timeline events at the switch; switch
 and server faults act under every policy but the pooled global baselines.
+Each edge of a class's start/stop window is a mix change with no new
+weights, scheduled as a `set_mix` event is.
 """
 
 from __future__ import annotations
@@ -269,7 +271,10 @@ class RackRun:
         t0 = time.perf_counter()
         spec, exp = self.spec, self.exp
         self._start_sends(self.d_cs, 0)
-        for ev in exp.timeline:
+        windows = [{"kind": "set_mix", "at_us": t, "weights": {}}
+                   for c in spec.classes for t in (c.start_us, c.stop_us)
+                   if t is not None]
+        for ev in exp.timeline + windows:
             # load and mix change at a send time, so at the switch d_cs later
             at = ev["at_us"]
             if ev["kind"] in ("set_load", "set_mix"):
@@ -280,9 +285,8 @@ class RackRun:
             first = self.w0 - log(1.0 - self._rnd_census.random()) * exp.census_interval_us
             if first < self.w1:
                 self.sim.schedule(first, self._ev_census, None)
-        if exp.rt_ttl_us:
-            self._maint_period = exp.rt_ttl_us / 2.0
-            self.sim.schedule(self._maint_period, self._ev_maint, None)
+        self._maint_period = exp.rt_ttl_us / 2.0
+        self.sim.schedule(self._maint_period, self._ev_maint, None)
 
         self.sim.run_until(self.hard_end)
 

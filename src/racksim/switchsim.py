@@ -89,7 +89,7 @@ class ReqTable:
     __slots__ = ("slots_per_stage", "salts", "ttl_us", "_live", "_used")
 
     def __init__(self, stages: int, slots_per_stage: int, salts: list[int],
-                 ttl_us: float | None = None):
+                 ttl_us: float):
         if len(salts) != stages:
             raise SimulationError("one hash salt per stage required")
         self.slots_per_stage = slots_per_stage
@@ -138,8 +138,6 @@ class ReqTable:
 
     def purge_stale(self, now: float) -> int:
         """Clear entries older than the TTL (lost replies, failed servers)."""
-        if self.ttl_us is None:
-            return 0
         horizon = now - self.ttl_us
         return self._drop([rid for rid, e in self._live.items()
                            if e[2] <= horizon])

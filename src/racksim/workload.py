@@ -4,7 +4,8 @@ Requests carry everything the schedulers are allowed to see (class tag,
 priority, locality class, packet count) plus the hidden true service time.
 Service times are drawn at creation so that two runs differing only in
 scheduling policy see identical workloads (policies draw from their own
-stream).
+stream). The class mix is a factory's own state, so the classes themselves
+are shared, unchanged, by every run of a config.
 """
 
 from __future__ import annotations
@@ -28,16 +29,6 @@ class ServiceDistribution:
             self._cum = list(zip(accumulate(probs), values))
             mean_us = sum(p * v for p, v in points)
         self.mean_us = mean_us
-
-    @classmethod
-    def from_config(cls, block: dict) -> "ServiceDistribution":
-        kind = block["kind"]
-        if kind in ("exponential", "deterministic"):
-            return cls(kind, float(block["mean_us"]))
-        if kind in ("bimodal", "trimodal"):
-            modes = [(float(p), float(v)) for p, v in block["modes"]]
-            return cls(kind, 0.0, modes)
-        raise ValueError(f"unknown service distribution kind {kind!r}")
 
     def sample(self, rnd: Random) -> float:
         if self._cum is None:
@@ -103,11 +94,12 @@ class Request:
 
 
 class ClassSpec:
-    """One request class: mix weight, service law, and scheduling attributes."""
+    """One request class as the config parsed it: mix weight, service law,
+    and scheduling attributes. Every run of a config shares it."""
 
     __slots__ = ("tag", "index", "weight", "dist", "priority", "locality", "packets", "group_size", "start_us", "stop_us")
 
-    def __init__(self, tag, index, weight, dist, priority=0, locality=-1, packets=1, group_size=1, start_us=None, stop_us=None):
+    def __init__(self, tag, index, weight, dist, priority=0, locality=0, packets=1, group_size=1, start_us=None, stop_us=None):
         self.tag = tag
         self.index = index
         self.weight = weight
@@ -125,7 +117,9 @@ class RequestFactory:
 
     Class choice comes from the "classes" stream and service times from the
     "service" stream so that reweighting the mix does not perturb the service
-    sequence of the classes themselves.
+    sequence of the classes themselves. The mix is this factory's own state
+    and changes only through `set_weights`, which the runner calls at each
+    `set_mix` event and at each edge of a class's start/stop window.
     """
 
     def __init__(self, classes: list[ClassSpec], rnd_classes: Random, rnd_service: Random):
@@ -134,40 +128,31 @@ class RequestFactory:
         self._rnd_service = rnd_service
         self._seq = 0
         self.created = 0
-        self._windowed = any(c.start_us is not None or c.stop_us is not None for c in classes)
-        self._rebuild_cum(0.0)
+        self._weights = {c.tag: c.weight for c in classes}
+        self.set_weights({}, 0.0)
 
-    def _rebuild_cum(self, now: float):
+    def set_weights(self, weights: dict[str, float], now: float):
+        """Reweight the classes named in `weights` and rebuild the mix as it
+        stands at send time `now`: a class outside its window draws nothing."""
+        self._weights.update(weights)
         cum = []
         acc = 0.0
         for c in self.classes:
-            if c.start_us is not None and now < c.start_us:
+            w = self._weights[c.tag]
+            if (w <= 0.0 or (c.start_us is not None and now < c.start_us)
+                    or (c.stop_us is not None and now >= c.stop_us)):
                 continue
-            if c.stop_us is not None and now >= c.stop_us:
-                continue
-            if c.weight <= 0.0:
-                continue
-            acc += c.weight
+            acc += w
             cum.append((acc, c))
         self._cum = cum
         self._total_w = acc
-        # the only class, when the draw needs no random number or rebuild
-        self._only = cum[0][1] if len(cum) == 1 and not self._windowed else None
+        # the only class, when the draw needs no random number
+        self._only = cum[0][1] if len(cum) == 1 else None
 
-    def set_weights(self, weights: dict[str, float], now: float):
-        for c in self.classes:
-            if c.tag in weights:
-                c.weight = float(weights[c.tag])
-        self._rebuild_cum(now)
-
-    def _pick_class(self, now: float) -> ClassSpec:
-        if self._windowed:
-            self._rebuild_cum(now)
+    def _pick_class(self) -> ClassSpec:
         cum = self._cum
         if not cum:
             return None
-        if len(cum) == 1:
-            return cum[0][1]
         u = self._rnd_classes.random() * self._total_w
         for acc, c in cum:
             if u < acc:
@@ -179,7 +164,7 @@ class RequestFactory:
         G yields G Requests sharing a single req_id."""
         spec = self._only
         if spec is None:
-            spec = self._pick_class(now)
+            spec = self._pick_class()
             if spec is None:
                 return []
         self._seq += 1

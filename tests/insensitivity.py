@@ -8,7 +8,6 @@ forms stay independent of the simulator.
 from racksim.analysis import tv_distance
 from racksim.config import ExperimentConfig
 from racksim.runner import run_point
-from racksim.workload import ServiceDistribution
 
 
 def insensitivity_check(workers_per_server: int, rho: float, dist_a: dict,
@@ -25,25 +24,24 @@ def insensitivity_check(workers_per_server: int, rho: float, dist_a: dict,
     reply-delayed telemetry variants, whose staleness artifacts depend on the
     service law and would confound the comparison.
     """
-    mean_a = ServiceDistribution.from_config(dist_a).mean_us
-    mean_b = ServiceDistribution.from_config(dist_b).mean_us
+    exps = [ExperimentConfig.from_dict({
+        "name": "insensitivity",
+        "servers": {"count": n_servers, "workers": workers_per_server},
+        "workload": {"service": dist},
+        "policy": {"kind": "shortest"},
+        "tracking": {"kind": "proactive"},
+        "intra": {"kind": intra, "slice_us": slice_us},
+        "sweep": {"loads": [rho], "seeds": list(seeds),
+                  "requests_per_point": requests_per_seed},
+        "census_interval_us": census_interval_us,
+    }) for dist in (dist_a, dist_b)]
+    mean_a, mean_b = (exp.classes[0].dist.mean_us for exp in exps)
     if abs(mean_a - mean_b) > 1e-6 * mean_a:
         raise ValueError(f"distributions must share a mean, got {mean_a} "
                          f"and {mean_b}")
     hists = []
-    for dist in (dist_a, dist_b):
+    for exp in exps:
         census: dict = {}
-        exp = ExperimentConfig.from_dict({
-            "name": "insensitivity",
-            "servers": {"count": n_servers, "workers": workers_per_server},
-            "workload": {"service": dist},
-            "policy": {"kind": "shortest"},
-            "tracking": {"kind": "proactive"},
-            "intra": {"kind": intra, "slice_us": slice_us},
-            "sweep": {"loads": [rho], "seeds": list(seeds),
-                      "requests_per_point": requests_per_seed},
-            "census_interval_us": census_interval_us,
-        })
         for seed in seeds:
             rec = run_point(exp, "default", rho, seed)
             for k, c in rec.census_system.items():

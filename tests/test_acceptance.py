@@ -46,7 +46,7 @@ def random_dispatch_queue(exp: ExperimentConfig, load: float):
     uniform random dispatch. Splitting Poisson arrivals uniformly at random
     thins them into independent Poisson streams, so each of the n servers is
     an M/G/c queue fed at 1/n of the offered rate."""
-    mean_us = exp.class_blocks[0]["dist"].mean_us
+    mean_us = exp.classes[0].dist.mean_us
     lam = load * exp.capacity_rps / 1e6 / exp.n_servers
     return exp.workers[0], lam, 1.0 / mean_us
 
@@ -308,7 +308,7 @@ def test_c09_affinity_fuzz_and_outage_recovery():
         "timeline": [
             {"kind": "switch_fail", "at_us": 40000.0, "duration_us": 20000.0},
             {"kind": "remove_server", "at_us": 70000.0, "server": 7,
-             "planned": True, "purge_delay_us": 5000.0},
+             "planned": True},
             {"kind": "add_server", "at_us": 85000.0, "server": 7},
         ],
         "sweep": {"loads": [0.7], "seeds": [11],

@@ -212,6 +212,26 @@ class TestRejection:
     def test_non_integer_seed(self):
         self.check(r"seeds\[0\]", sweep={"seeds": [1.5]})
 
+    def test_boolean_server_id_in_initial_active(self):
+        self.check(r"^servers\.initial_active: bad server id True$",
+                   servers={"initial_active": [True, 0]})
+
+    def test_boolean_server_id_in_locality_set(self):
+        self.check(r"^locality_sets\.x: bad server id False$",
+                   locality_sets={"x": [False, 2]})
+
+    def test_purge_delay_on_planned_removal(self):
+        # a planned removal drains, and its table is never purged
+        for planned in ({"planned": True}, {}):
+            self.check(r"^timeline\[0\]\.purge_delay_us: only valid for an "
+                       r"unplanned removal$", timeline=[
+                           {"kind": "remove_server", "at_us": 10.0, "server": 1,
+                            "purge_delay_us": 50.0, **planned}])
+        exp = parse(timeline=[{"kind": "remove_server", "at_us": 10.0,
+                               "server": 1, "planned": False,
+                               "purge_delay_us": 50.0}])
+        assert exp.timeline[0]["purge_delay_us"] == 50.0
+
 
 class TestRunSpec:
     def test_global_variant_collapses_to_pooled_server(self):
@@ -254,6 +274,27 @@ class TestRunSpec:
         assert a.config_sha256 == b.config_sha256
         c = parse(sweep={"loads": [0.6]})
         assert c.config_sha256 != b.config_sha256
+
+    def test_points_share_the_config_classes(self):
+        raw = base_raw(sweep={"loads": [0.5, 0.7], "seeds": [1, 2]})
+        del raw["policy"]
+        raw["policies"] = {"a": {"kind": "shortest"},
+                           "g": {"kind": "global-ps"}}
+        exp = ExperimentConfig.from_dict(raw)
+        specs = [exp.build_runspec(*point) for point in exp.points()]
+        assert all(spec.classes is exp.classes for spec in specs)
+
+    def test_service_shorthand_is_a_class_with_every_default(self):
+        svc = {"kind": "bimodal", "modes": [[0.9, 10.0], [0.1, 100.0]]}
+        short = parse(workload={"service": svc}).classes
+        full = parse(workload={"classes": [{"tag": "all", "service": svc}]}).classes
+        assert len(short) == len(full) == 1
+        fields = ("tag", "index", "weight", "priority", "locality", "packets",
+                  "group_size", "start_us", "stop_us")
+        assert [getattr(short[0], f) for f in fields] == \
+            [getattr(full[0], f) for f in fields] == \
+            ["all", 0, 1.0, 0, 0, 1, 1, None, None]
+        assert short[0].dist.mean_us == full[0].dist.mean_us == 19.0
 
     def test_timeline_sorted_by_time(self):
         exp = parse(timeline=[

@@ -1,5 +1,6 @@
 """Exact-schedule comparison against the independent brute-force executor."""
 
+import math
 import random
 
 import pytest
@@ -25,7 +26,7 @@ def run_sim(arrivals, services, n_servers, n_workers, intra, slice_us,
     def on_reply(now, arg):
         done[arg[0].req_id] = now
 
-    table = ReqTable(2, 64, [11, 22], ttl_us=None)
+    table = ReqTable(2, 64, [11, 22], ttl_us=math.inf)
     switch = Switch(
         n_servers, 1, [list(range(n_servers))], [True] * n_servers,
         make_policy("rr", 1, 0), "int1", table,

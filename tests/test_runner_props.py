@@ -51,6 +51,24 @@ def test_same_seed_reproduces_samples_exactly():
     assert a.dispatch_hist == b.dispatch_hist
 
 
+def test_a_point_with_a_mix_change_runs_the_same_twice():
+    # the classes are the config's one list; a run reweights only its factory
+    svc = {"kind": "exponential", "mean_us": 30.0}
+    exp = make_exp(
+        workload={"classes": [
+            {"tag": "a", "service": svc},
+            {"tag": "b", "weight": 0.5, "service": svc, "start_us": 2000.0}]},
+        timeline=[{"kind": "set_mix", "at_us": 6000.0,
+                   "weights": {"a": 0.0, "b": 2.0}}])
+    recs = [run_point(exp, "default", 0.6, 1) for _ in range(2)]
+    assert [c.weight for c in exp.classes] == [1.0, 0.5]
+    a, b = recs
+    assert a.samples == b.samples and a.arrivals == b.arrivals
+    assert (a.injected, a.completed, a.dispatch_hist) == \
+        (b.injected, b.completed, b.dispatch_hist)
+    assert all(a.arrivals)
+
+
 def test_a_latency_sample_costs_about_eight_bytes():
     """Samples are kept unboxed: dropping a record's samples frees 8 B each
     plus the arrays' growth slack, not a list slot and a float object."""
@@ -280,6 +298,20 @@ def test_set_mix_takes_effect_at_its_send_time():
     assert max(a_times) < 20000.0 <= min(b_times)
 
 
+def test_class_window_acts_at_its_send_times():
+    # 200 us from client to switch: a window edge scheduled at the switch
+    # time of its send time, not at the send time itself
+    svc = {"kind": "exponential", "mean_us": 20.0}
+    sent = _timeline_run([], classes=[
+        {"tag": "a", "service": svc, "stop_us": 20000.0},
+        {"tag": "late", "weight": 3, "service": svc, "start_us": 10000.0}])
+    a_times = [t for t, tag in sent if tag == 0]
+    late_times = [t for t, tag in sent if tag == 1]
+    assert max(a_times) < 20000.0 <= max(late_times)
+    assert 10000.0 <= min(late_times) < 10100.0
+    assert 19800.0 <= max(a_times)
+
+
 def test_multi_packet_requests_stay_on_one_server():
     raw = {
         "name": "affinity",
@@ -291,7 +323,7 @@ def test_multi_packet_requests_stay_on_one_server():
         "reqtable": {"stages": 1, "slots_per_stage": 64},
         "timeline": [
             {"kind": "remove_server", "at_us": 40000.0, "server": 3,
-             "planned": True, "purge_delay_us": 5000.0},
+             "planned": True},
             {"kind": "add_server", "at_us": 80000.0, "server": 3},
         ],
         "sweep": {"loads": [0.6], "seeds": [7], "requests_per_point": 20000},

@@ -1,5 +1,6 @@
 """Switch semantics: policies, request table, tracking, faults, affinity."""
 
+import math
 import random
 import tracemalloc
 
@@ -28,7 +29,7 @@ def make_req(rid, tag=0, locality=0, packets=1, service=10.0, arrival=0.0):
 
 
 def make_switch(policy_kind="shortest", tracking=INT1, n=4, k=2, bound=2,
-                stages=2, slots=64, ttl_us=None, n_classes=2,
+                stages=2, slots=64, ttl_us=math.inf, n_classes=2,
                 loc_sets=None, **kw):
     table = ReqTable(stages, slots, [101 + i for i in range(stages)],
                      ttl_us=ttl_us)
@@ -70,17 +71,17 @@ class TestStageCost:
 
 class TestReqTable:
     def test_insert_read_roundtrip(self):
-        t = ReqTable(4, 64, [1, 2, 3, 4])
+        t = ReqTable(4, 64, [1, 2, 3, 4], math.inf)
         assert t.place(1234, 6, now=0.0) >= 0
         assert t.read(1234) == 6
         assert t.occupancy == 1
 
     def test_absent_read(self):
-        t = ReqTable(4, 64, [1, 2, 3, 4])
+        t = ReqTable(4, 64, [1, 2, 3, 4], math.inf)
         assert t.read(99) == -1
 
     def test_collision_goes_to_next_stage_then_fallback(self):
-        t = ReqTable(2, 1, [7, 8])  # every id collides at index 0
+        t = ReqTable(2, 1, [7, 8], math.inf)  # every id collides at index 0
         assert t.place(11, 0, now=0.0) >= 0
         assert t.place(22, 1, now=0.0) >= 0
         assert t.place(33, 2, now=0.0) == -1  # both stages occupied
@@ -90,7 +91,7 @@ class TestReqTable:
         assert t.occupancy == 2
 
     def test_remove_then_read_absent_and_remove_idempotent(self):
-        t = ReqTable(2, 64, [1, 2])
+        t = ReqTable(2, 64, [1, 2], math.inf)
         t.place(5, 3, now=0.0)
         assert t.remove(5)
         assert t.read(5) == -1
@@ -106,7 +107,7 @@ class TestReqTable:
         assert t.read(2) == 1
 
     def test_purge_server_drops_only_that_server(self):
-        t = ReqTable(2, 64, [1, 2])
+        t = ReqTable(2, 64, [1, 2], math.inf)
         t.place(1, 0, now=0.0)
         t.place(2, 1, now=0.0)
         t.place(3, 1, now=0.0)
@@ -116,7 +117,7 @@ class TestReqTable:
         assert t.occupancy == 1
 
     def test_clear(self):
-        t = ReqTable(2, 64, [1, 2])
+        t = ReqTable(2, 64, [1, 2], math.inf)
         for rid in range(1, 20):
             t.place(rid, 0, now=0.0)
         t.clear()
@@ -189,8 +190,6 @@ class StageModel:
         return n
 
     def purge_stale(self, now):
-        if self.ttl_us is None:
-            return 0
         return self._drop_if(lambda e: e[2] <= now - self.ttl_us)
 
     def purge_server(self, server):
@@ -209,7 +208,8 @@ class StageModel:
 def test_reqtable_matches_a_per_stage_reference(data):
     stages = data.draw(st.integers(1, 3), label="stages")
     slots = data.draw(st.integers(1, 4), label="slots")
-    ttl = data.draw(st.one_of(st.none(), st.integers(1, 6)), label="ttl")
+    ttl = data.draw(st.one_of(st.just(math.inf), st.integers(1, 6)),
+                    label="ttl")
     salts = [101 + 7 * i for i in range(stages)]
     table = ReqTable(stages, slots, list(salts), ttl_us=ttl)
     model = StageModel(stages, slots, salts, ttl)
@@ -248,7 +248,7 @@ def test_reqtable_memory_follows_live_mappings():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        t = ReqTable(4, 1 << 16, salts)
+        t = ReqTable(4, 1 << 16, salts, math.inf)
         built = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from racksim.config import ConfigError, _parse_dist
 from racksim.workload import (
     ClassSpec, Group, Request, RequestFactory, ServiceDistribution)
 
@@ -31,8 +32,8 @@ class TestServiceDistribution:
         assert mean == pytest.approx(50.0, rel=0.02)
 
     def test_mixture_mean_and_frequencies(self):
-        d = ServiceDistribution.from_config(
-            {"kind": "bimodal", "modes": [[0.9, 50.0], [0.1, 500.0]]})
+        d = _parse_dist(
+            {"kind": "bimodal", "modes": [[0.9, 50.0], [0.1, 500.0]]}, "service")
         assert d.mean_us == pytest.approx(95.0)
         rnd = random.Random(4)
         n = 100000
@@ -40,16 +41,16 @@ class TestServiceDistribution:
         assert longs / n == pytest.approx(0.1, abs=0.005)
 
     def test_trimodal_from_config(self):
-        d = ServiceDistribution.from_config(
+        d = _parse_dist(
             {"kind": "trimodal",
-             "modes": [[0.333, 5.0], [0.333, 50.0], [0.334, 500.0]]})
+             "modes": [[0.333, 5.0], [0.333, 50.0], [0.334, 500.0]]}, "service")
         assert d.mean_us == pytest.approx(0.333 * 5 + 0.333 * 50 + 0.334 * 500)
         rnd = random.Random(5)
         assert all(d.sample(rnd) in (5.0, 50.0, 500.0) for _ in range(1000))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ServiceDistribution.from_config({"kind": "pareto", "mean_us": 1.0})
+        with pytest.raises(ConfigError, match=r"^service\.kind: must be one of"):
+            _parse_dist({"kind": "pareto", "mean_us": 1.0}, "service")
 
 
 class TestRequestFactory:
@@ -70,12 +71,24 @@ class TestRequestFactory:
         fac.set_weights({"b": 0.0}, 0.0)
         assert all(fac.make_request(0, 0.0)[0].tag == 0 for _ in range(200))
 
+    def test_set_weights_leaves_the_classes_unchanged(self):
+        # the mix is the factory's state, so classes can be shared by runs
+        classes = [exp_class("a", 0, 1.0), exp_class("b", 1, 2.0)]
+        fac = make_factory(classes)
+        fac.set_weights({"a": 0.0, "b": 5.0}, 0.0)
+        assert [c.weight for c in classes] == [1.0, 2.0]
+        again = make_factory(classes)
+        assert any(again.make_request(0, 0.0)[0].tag == 0 for _ in range(50))
+
+    # a window edge is a mix change with no new weights, at its send time
+
     def test_start_window_gates_class(self):
         classes = [exp_class("base", 0, 1.0),
                    exp_class("late", 1, 50.0, start_us=1000.0)]
         fac = make_factory(classes)
         early = [fac.make_request(0, 500.0)[0].tag for _ in range(200)]
         assert set(early) == {0}
+        fac.set_weights({}, 1000.0)
         late = [fac.make_request(0, 1500.0)[0].tag for _ in range(200)]
         assert late.count(1) > 150  # weight 50:1 once the window opens
 
@@ -84,11 +97,21 @@ class TestRequestFactory:
         fac = make_factory(classes)
         assert any(r.tag == 1 for r in
                    (fac.make_request(0, 10.0)[0] for _ in range(50)))
+        fac.set_weights({}, 100.0)
         assert all(fac.make_request(0, 100.0)[0].tag == 0 for _ in range(100))
 
     def test_all_windows_closed_yields_nothing(self):
         fac = make_factory([exp_class("a", 0, 1.0, stop_us=10.0)])
+        fac.set_weights({}, 10.0)
         assert fac.make_request(0, 10.0) == []
+
+    def test_window_edge_keeps_new_weights(self):
+        classes = [exp_class("a", 0, 1.0), exp_class("b", 1, 1.0, start_us=50.0)]
+        fac = make_factory(classes)
+        fac.set_weights({"a": 0.0}, 10.0)
+        assert fac.make_request(0, 10.0) == []
+        fac.set_weights({}, 50.0)
+        assert all(fac.make_request(0, 50.0)[0].tag == 1 for _ in range(50))
 
     def test_group_members_share_id_and_group(self):
         cls = exp_class(group_size=3)
