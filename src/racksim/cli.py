@@ -44,10 +44,9 @@ def cmd_validate(args) -> int:
           if len(set(exp.workers)) == 1 else
           f"  servers: {exp.n_servers} (workers {exp.workers})")
     print(f"  capacity: {exp.capacity_rps:.0f} req/s")
-    for vname in exp.variants:
-        cost = exp.variant_stage_cost(vname)
-        kind = exp.variants[vname]["kind"]
-        print(f"  variant {vname}: {kind}, {cost}/{MAX_STAGES} pipeline stages")
+    for vname, v in exp.variants.items():
+        print(f"  variant {vname}: {v.policy}, {v.cost}/{MAX_STAGES} "
+              "pipeline stages")
     print(f"  points: {n_points} ({len(exp.loads)} loads x {len(exp.seeds)} "
           f"seeds x {len(exp.variants)} variants)")
     return 0

@@ -3,11 +3,13 @@ sweep point into the run specification the simulator consumes.
 
 Unknown keys are rejected (with the offending dotted path) rather than
 ignored, so a typo in a sweep file fails loudly instead of silently running
-defaults. A config may name several policy variants; each (variant, load,
-seed) triple resolves to one RunSpec, which holds only what differs between
-points and refers back to the validated config for every other setting.
-Request classes and their service laws are parsed once, straight into the
-`ClassSpec` list that every point shares; no run changes it.
+defaults. Request classes and their service laws are parsed once, straight
+into the `ClassSpec` list that every point shares. A config may name several
+policy variants; each is parsed once into a `Variant`, the rack it runs on
+and the policy the switch runs there, which every point of the variant
+shares. Each (variant, load, seed) triple resolves to one RunSpec: the
+config, the variant, the seed and the offered rate. No run changes any of
+them.
 """
 
 from __future__ import annotations
@@ -101,9 +103,10 @@ def _parse_dist(block: dict, path: str) -> ServiceDistribution:
         if not isinstance(pair, list) or len(pair) != 2:
             _fail(f"{path}.modes[{i}]", "expected a [prob, value_us] pair")
         p, v = pair
-        if not isinstance(p, (int, float)) or not 0.0 < p <= 1.0:
+        if (isinstance(p, bool) or not isinstance(p, (int, float))
+                or not 0.0 < p <= 1.0):
             _fail(f"{path}.modes[{i}]", f"probability must be in (0, 1], got {p!r}")
-        if not isinstance(v, (int, float)) or v <= 0.0:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0.0:
             _fail(f"{path}.modes[{i}]", f"value_us must be > 0, got {v!r}")
         total += p
     if abs(total - 1.0) > 1e-9:
@@ -114,28 +117,37 @@ def _parse_dist(block: dict, path: str) -> ServiceDistribution:
                                            for p, v in modes])
 
 
-@dataclass(slots=True)
-class RunSpec:
-    """The values one (variant, load, seed) point resolves to. Every other
-    setting (network delays, intra-server and ReqTable parameters, sweep
-    window, timeline, instrumentation) is read from `exp`, the validated
-    config. Global-queue variants are already collapsed to a single pooled
-    server here."""
+@dataclass(frozen=True, slots=True)
+class Variant:
+    """One policy variant as parsed: the rack it runs on and the policy the
+    switch runs there. A global-queue variant is collapsed to one pooled
+    server, holding every initially active worker, under `hash` dispatch.
+    The rack's lists are the config's own, shared and never changed."""
 
-    exp: ExperimentConfig
-    seed: int
     n_servers: int
     workers: list
     active0: list
     loc_sets: list
-    classes: list                # ClassSpec, the config's one list
+    intra_kind: str
+    policy: str                 # as the switch runs it
+    k: int
+    bound: int
     clients: int
-    policy_kind: str
-    policy_k: int
-    policy_bound: int
     tracking: str
     rep_loss_prob: float
-    intra_kind: str
+    cost: int                   # pipeline stages, from `stage_cost`
+
+
+@dataclass(slots=True)
+class RunSpec:
+    """What one (variant, load, seed) point resolves to. Every other setting
+    (network delays, classes, intra-server and ReqTable parameters, sweep
+    window, timeline, instrumentation) is read from `exp`, the validated
+    config; `variant` is shared by every point of its variant."""
+
+    exp: ExperimentConfig
+    variant: Variant
+    seed: int
     rate_rps: float
 
 
@@ -202,6 +214,8 @@ class ExperimentConfig:
                     _fail("servers.initial_active", f"bad server id {x!r}")
                 ids.add(x)
             self.active0 = [i in ids for i in range(self.n_servers)]
+        self.active_workers = sum(w for w, a in zip(self.workers, self.active0)
+                                  if a)
 
     def _parse_network(self, block: dict):
         _check_keys(block, {"client_switch_us", "switch_server_us",
@@ -312,9 +326,17 @@ class ExperimentConfig:
                 track = _parse_tracking(pb["tracking"], tpath)
             else:
                 tpath, track = "tracking", (self.tracking, self.rep_loss_prob)
-            # rack baselines need pass-through forwarding only
-            cost = (1 if kind in RACK_BASELINES
-                    else stage_cost(kind, self.n_servers, k=k))
+            if kind in GLOBAL_BASELINES:
+                rack = dict(n_servers=1, workers=[self.active_workers],
+                            active0=[True], loc_sets=[[0]],
+                            intra_kind="cfcfs" if kind == "global-cfcfs" else "ps")
+                policy = "hash"
+            else:
+                rack = dict(n_servers=self.n_servers, workers=self.workers,
+                            active0=self.active0, loc_sets=self.loc_sets,
+                            intra_kind=self.intra_kind)
+                policy = kind
+            cost = stage_cost(policy, self.n_servers, k=k)
             if cost > MAX_STAGES:
                 _fail(path, f"policy needs {cost} pipeline stages, budget is "
                       f"{MAX_STAGES}")
@@ -337,9 +359,10 @@ class ExperimentConfig:
             if kind == "jbsq" and track[1] > 0.0:
                 _fail(f"{tpath}.rep_loss_prob",
                       "reply loss has no effect on jbsq's outstanding counts")
-            self.variants[vname] = {"kind": kind, "k": k, "bound": bound,
-                                    "clients": clients, "tracking": track,
-                                    "cost": cost}
+            self.variants[vname] = Variant(
+                **rack, policy=policy, k=k, bound=bound,
+                clients=self.clients if clients is None else clients,
+                tracking=track[0], rep_loss_prob=track[1], cost=cost)
 
     def _parse_intra(self, block: dict):
         _check_keys(block, {"kind", "slice_us", "preempt_threshold_us",
@@ -445,17 +468,16 @@ class ExperimentConfig:
                     if isinstance(w, bool) or not isinstance(w, (int, float)) or w < 0:
                         _fail(f"{path}.weights.{tag}", f"must be a number >= 0, got {w!r}")
                 out["weights"] = {t: float(w) for t, w in ws.items()}
+            # `_num` takes 1.0 for 1, but a server id is a JSON integer
+            if "server" in out and not _server_id(ev["server"], self.n_servers):
+                _fail(f"{path}.server", f"bad server id {ev['server']!r}")
             self.timeline.append(out)
         self.timeline.sort(key=lambda e: e["at_us"])
 
-    def variant_stage_cost(self, vname: str) -> int:
-        return self.variants[vname]["cost"]
-
     def _capacity_rps(self) -> float:
-        total_workers = sum(w for w, a in zip(self.workers, self.active0) if a)
         wsum = sum(c.weight for c in self.classes)
         mean_us = sum(c.weight * c.dist.mean_us for c in self.classes) / wsum
-        return total_workers / mean_us * 1e6
+        return self.active_workers / mean_us * 1e6
 
     # -- construction ----------------------------------------------------------
 
@@ -479,37 +501,5 @@ class ExperimentConfig:
         return product(self.variants, self.loads, self.seeds)
 
     def build_runspec(self, variant: str, load: float, seed: int) -> RunSpec:
-        v = self.variants[variant]
-        kind = v["kind"]
-        if kind in GLOBAL_BASELINES:
-            n_servers = 1
-            workers = [sum(w for w, a in zip(self.workers, self.active0) if a)]
-            active0 = [True]
-            loc_sets = [[0]]
-            policy_kind = "hash"
-            intra_kind = "cfcfs" if kind == "global-cfcfs" else "ps"
-        else:
-            n_servers = self.n_servers
-            workers = list(self.workers)
-            active0 = list(self.active0)
-            loc_sets = [list(s) for s in self.loc_sets]
-            policy_kind = kind
-            intra_kind = self.intra_kind
-
-        return RunSpec(
-            exp=self,
-            seed=seed,
-            n_servers=n_servers,
-            workers=workers,
-            active0=active0,
-            loc_sets=loc_sets,
-            classes=self.classes,
-            clients=v["clients"] if v["clients"] is not None else self.clients,
-            policy_kind=policy_kind,
-            policy_k=v["k"],
-            policy_bound=v["bound"],
-            tracking=v["tracking"][0],
-            rep_loss_prob=v["tracking"][1],
-            intra_kind=intra_kind,
-            rate_rps=load * self.capacity_rps,
-        )
+        return RunSpec(self, self.variants[variant], seed,
+                       load * self.capacity_rps)

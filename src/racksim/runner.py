@@ -25,6 +25,7 @@ import csv
 import os
 import time
 from array import array
+from contextlib import ExitStack
 from math import log
 
 from . import __version__
@@ -43,6 +44,7 @@ class RackRun:
     def __init__(self, spec: RunSpec, trace_affinity: bool = False):
         self.spec = spec
         exp = self.exp = spec.exp
+        v = spec.variant
         self.sim = EventLoop()
         self.streams = RngStreams(spec.seed)
 
@@ -53,16 +55,16 @@ class RackRun:
         to_switch = self.sim.lane(exp.d_ss)
 
         self.factory = RequestFactory(
-            spec.classes, self.streams.get("classes"), self.streams.get("service"))
+            exp.classes, self.streams.get("classes"), self.streams.get("service"))
         # some arrival sends more than its first packet
         self._trailing = any(c.packets > 1 or c.group_size > 1
-                             for c in spec.classes)
+                             for c in exp.classes)
         self._arr_rnds = [self.streams.get(f"arrivals/{c}").random
-                          for c in range(spec.clients)]
+                          for c in range(v.clients)]
         self._gen_token = 0
         self._send = self._ev_send      # bound once, rescheduled per send
         # per-client arrival rate, requests per us
-        self._rate_pc = spec.rate_rps / 1e6 / spec.clients
+        self._rate_pc = spec.rate_rps / 1e6 / v.clients
 
         # generation window and measurement window
         if exp.duration_us is not None:
@@ -75,7 +77,7 @@ class RackRun:
         self.w1 = self.t_arr_end
         self.hard_end = self.t_arr_end + exp.drain_us
 
-        n_classes = len(spec.classes)
+        n_classes = len(exp.classes)
         rnd_h = self.streams.get("hashing")
         salts = [rnd_h.getrandbits(61) for _ in range(exp.rt_stages)]
         policy_salt = rnd_h.getrandbits(61)
@@ -83,33 +85,34 @@ class RackRun:
         table = ReqTable(exp.rt_stages, exp.rt_slots, salts,
                          ttl_us=exp.rt_ttl_us)
         self.views = None       # the clients' views, under client dispatch
-        if spec.policy_kind == "client":
-            policy = ClientPolicy(spec.n_servers, spec.clients,
-                                  SamplingPolicy(spec.policy_k).select)
+        if v.policy == "client":
+            policy = ClientPolicy(v.n_servers, v.clients,
+                                  SamplingPolicy(v.k).select)
             self.views = policy.views
         else:
-            policy = make_policy(spec.policy_kind, n_classes, policy_salt,
-                                 k=spec.policy_k, bound=spec.policy_bound)
+            policy = make_policy(v.policy, n_classes, policy_salt, k=v.k,
+                                 bound=v.bound)
         # the switch reads no load for the clients' pick, which an int2 pair
-        # would replace; the servers report as `spec.tracking` says
+        # would replace; the servers report as `v.tracking` says. The switch
+        # changes its own copy of the active flags.
         self.switch = Switch(
-            spec.n_servers, n_classes, spec.loc_sets, list(spec.active0),
-            policy, INT1 if self.views else spec.tracking, table,
+            v.n_servers, n_classes, v.loc_sets, list(v.active0),
+            policy, INT1 if self.views else v.tracking, table,
             self.streams.get("sampling"), self.streams.get("loss"),
-            fallback_salt, rep_loss_prob=spec.rep_loss_prob,
+            fallback_salt, rep_loss_prob=v.rep_loss_prob,
             trace_affinity=trace_affinity)
 
-        priorities = [c.priority for c in spec.classes]
+        priorities = [c.priority for c in exp.classes]
         self.servers = [
-            Server(sid, spec.workers[sid], spec.intra_kind, self.sim,
+            Server(sid, v.workers[sid], v.intra_kind, self.sim,
                    to_switch, self._ev_rep, self.switch.mark_dropped,
                    n_classes=n_classes, slice_us=exp.slice_us,
                    preempt_threshold_us=exp.preempt_threshold_us,
                    ctx_switch_us=exp.ctx_switch_us,
                    preempt_latency_us=exp.preempt_latency_us,
-                   tracking=spec.tracking, wfq_weights=exp.wfq_weights,
+                   tracking=v.tracking, wfq_weights=exp.wfq_weights,
                    priorities=priorities)
-            for sid in range(spec.n_servers)]
+            for sid in range(v.n_servers)]
 
         # per class: latency samples as unboxed doubles, 8 B each
         self.samples = [array("d") for _ in range(n_classes)]
@@ -126,7 +129,7 @@ class RackRun:
     def _start_sends(self, now: float, token: int) -> None:
         """Start each client's send chain, as `_ev_send` continues it."""
         if self._rate_pc > 0.0:
-            for c in range(self.spec.clients):
+            for c in range(self.spec.variant.clients):
                 self.sim.schedule(now - log(1.0 - self._arr_rnds[c]())
                                   / self._rate_pc, self._send, (c, token))
 
@@ -235,7 +238,7 @@ class RackRun:
                 self.sim.schedule(now + ev["purge_delay_us"], self._ev_purge, sid)
         elif kind == "set_load":
             self._rate_pc = (ev["load"] * self.exp.capacity_rps / 1e6
-                             / self.spec.clients)
+                             / self.spec.variant.clients)
             self._gen_token += 1
             self._start_sends(now, self._gen_token)
         else:  # set_mix
@@ -269,10 +272,10 @@ class RackRun:
 
     def run(self) -> MetricsRecord:
         t0 = time.perf_counter()
-        spec, exp = self.spec, self.exp
+        exp = self.exp
         self._start_sends(self.d_cs, 0)
         windows = [{"kind": "set_mix", "at_us": t, "weights": {}}
-                   for c in spec.classes for t in (c.start_us, c.stop_us)
+                   for c in exp.classes for t in (c.start_us, c.stop_us)
                    if t is not None]
         for ev in exp.timeline + windows:
             # load and mix change at a send time, so at the switch d_cs later
@@ -291,7 +294,7 @@ class RackRun:
         self.sim.run_until(self.hard_end)
 
         rec = MetricsRecord(
-            class_tags=[c.tag for c in spec.classes],
+            class_tags=[c.tag for c in exp.classes],
             window=(self.w0, self.w1),
             samples=self.samples,
             arrivals=self.arrivals,
@@ -342,8 +345,7 @@ def _format_row(load: float, seed: int, tag_index: int, rec: MetricsRecord) -> l
 
 
 def _point_job(args):
-    raw, variant, load, seed = args
-    exp = ExperimentConfig.from_dict(raw)
+    exp, variant, load, seed = args
     rec = run_point(exp, variant, load, seed)
     rows = [((load, i, seed), _format_row(load, seed, i, rec))
             for i in range(len(rec.class_tags))]
@@ -355,36 +357,31 @@ def run_experiment(exp: ExperimentConfig, out_dir: str, parallel: int = 1,
                    log=None) -> list:
     """Run the full sweep and write one CSV per variant plus a manifest.
     `parallel` worker processes run the points, never more than there are
-    points; 1 runs them in this process. Returns the written file paths."""
+    points; 1 runs them in this process. `log`, if given, gets one line per
+    point in sweep order. Returns the written file paths."""
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     os.makedirs(out_dir, exist_ok=True)
-    jobs = [(exp.raw, v, load, seed) for v, load, seed in exp.points()]
+    jobs = [(exp, *point) for point in exp.points()]
     workers = min(parallel, len(jobs))
-    if workers > 1:
-        # imported here so that a serial run never loads it
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_point_job, jobs)
-    else:
-        results = []
-        for job in jobs:
-            res = _point_job(job)
-            if log is not None:
-                v, load, seed = res[0], res[1], res[2]
-                log(f"{exp.name} {v} load={load:g} seed={seed} "
-                    f"wall={res[5]:.2f}s")
-            results.append(res)
-
     by_variant = {v: [] for v in exp.variants}
     manifest_pts = []
-    for variant, load, seed, rows, counts, wall in results:
-        by_variant[variant].extend(rows)
-        measured, injected, completed, dropped = counts
-        manifest_pts.append(
-            f"point variant={variant} load={load:g} seed={seed} "
-            f"measured={measured} injected={injected} completed={completed} "
-            f"dropped={dropped} wall_s={wall:.3f}")
+    with ExitStack() as stack:
+        imap = map
+        if workers > 1:
+            # imported here so that a serial run never loads it
+            import multiprocessing
+            imap = stack.enter_context(multiprocessing.Pool(workers)).imap
+        for variant, load, seed, rows, counts, wall in imap(_point_job, jobs):
+            if log is not None:
+                log(f"{exp.name} {variant} load={load:g} seed={seed} "
+                    f"wall={wall:.2f}s")
+            by_variant[variant].extend(rows)
+            measured, injected, completed, dropped = counts
+            manifest_pts.append(
+                f"point variant={variant} load={load:g} seed={seed} "
+                f"measured={measured} injected={injected} "
+                f"completed={completed} dropped={dropped} wall_s={wall:.3f}")
 
     paths = []
     for variant, rows in by_variant.items():

@@ -44,13 +44,14 @@ COMPARISONS_PER_STAGE = 4
 READS_PER_STAGE = 4
 
 
-def stage_cost(policy_kind: str, n_servers: int, k: int = 0) -> int:
+def stage_cost(kind: str, n_servers: int, k: int = 0) -> int:
     """Pipeline stages a policy consumes.
 
     A min-tree over s candidates costs sum over layers of
     ceil(layer_width / COMPARISONS_PER_STAGE), with layer widths halving.
     Sampling(k) prepends ceil(k / READS_PER_STAGE) stages to read the
-    sampled counters.
+    sampled counters. Client dispatch picks at the clients, so the switch
+    only forwards.
     """
     def tree(s: int) -> int:
         stages = 0
@@ -60,14 +61,14 @@ def stage_cost(policy_kind: str, n_servers: int, k: int = 0) -> int:
             s = s - width
         return stages
 
-    if policy_kind in ("hash", "rr", "random"):
+    if kind in ("hash", "rr", "random", "client"):
         return 1
-    if policy_kind in ("shortest", "jbsq"):
+    if kind in ("shortest", "jbsq"):
         return tree(n_servers)
-    if policy_kind == "sampling":
+    if kind == "sampling":
         reads = -(-k // READS_PER_STAGE)
         return reads + tree(k)
-    raise ValueError(f"unknown policy kind {policy_kind!r}")
+    raise ValueError(f"unknown policy kind {kind!r}")
 
 
 class ReqTable:

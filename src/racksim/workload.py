@@ -63,7 +63,6 @@ class Request:
         "priority",
         "locality",
         "packets",
-        "service",
         "arrival",
         "remaining",
         "pkts_pending",
@@ -80,7 +79,6 @@ class Request:
         self.priority = priority
         self.locality = locality
         self.packets = packets
-        self.service = service
         self.arrival = arrival
         self.remaining = service
         self.pkts_pending = packets
@@ -90,7 +88,7 @@ class Request:
         self.fallback = False
 
     def __repr__(self):
-        return f"Request({self.req_id:#x} tag={self.tag} t={self.arrival:.1f} s={self.service:.1f})"
+        return f"Request({self.req_id:#x} tag={self.tag} t={self.arrival:.1f} remaining={self.remaining:.1f})"
 
 
 class ClassSpec:

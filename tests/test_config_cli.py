@@ -1,5 +1,7 @@
 """Config validation, run-spec resolution, and the command-line interface."""
 
+import copy
+import dataclasses
 import json
 import multiprocessing
 import re
@@ -7,8 +9,8 @@ import re
 import pytest
 
 from racksim.cli import main
-from racksim.config import ConfigError, ExperimentConfig
-from racksim.runner import CSV_COLUMNS, run_experiment, run_point
+from racksim.config import ConfigError, ExperimentConfig, RunSpec, Variant
+from racksim.runner import CSV_COLUMNS, RackRun, run_experiment, run_point
 
 from conftest import CONFIG_DIR, ROOT
 
@@ -39,7 +41,7 @@ class TestDefaults:
         assert exp.clients == 4 and exp.gap_us == 1.0
         assert exp.tracking == "int1" and exp.intra_kind == "cfcfs"
         assert (exp.rt_stages, exp.rt_slots, exp.rt_ttl_us) == (4, 16384, 100000.0)
-        assert exp.variant_stage_cost("default") == 3  # min-tree over 8
+        assert exp.variants["default"].cost == 3  # min-tree over 8
         assert exp.loads == [0.5] and exp.seeds == [1]
         assert exp.warmup_fraction == 0.1
 
@@ -135,6 +137,13 @@ class TestRejection:
         self.check("exactly 3", workload={"service": {
             "kind": "trimodal", "modes": [[0.5, 10.0], [0.5, 100.0]]}})
 
+    @pytest.mark.parametrize("modes", [[[0.5, True], [0.5, 10.0]],
+                                       [[True, 10.0], [0.5, 10.0]]])
+    def test_mixture_rejects_boolean_modes(self, modes):
+        # JSON true is not the number 1: not a 1 us mode, nor a probability
+        self.check(r"^workload\.service\.modes\[0\]: ", workload={
+            "service": {"kind": "bimodal", "modes": modes}})
+
     def test_mixture_rejects_explicit_mean(self):
         self.check("mean is implied", workload={"service": {
             "kind": "bimodal", "mean_us": 55.0,
@@ -220,6 +229,14 @@ class TestRejection:
         self.check(r"^locality_sets\.x: bad server id False$",
                    locality_sets={"x": [False, 2]})
 
+    @pytest.mark.parametrize("kind", ["add_server", "remove_server"])
+    def test_timeline_server_id_is_an_integer(self, kind):
+        # as in initial_active, where [1.0] is no server id either
+        self.check(r"^timeline\[0\]\.server: bad server id 1\.0$",
+                   timeline=[{"kind": kind, "at_us": 10.0, "server": 1.0}])
+        self.check(r"^timeline\[0\]\.server: must be <= 7, got 8$",
+                   timeline=[{"kind": kind, "at_us": 10.0, "server": 8}])
+
     def test_purge_delay_on_planned_removal(self):
         # a planned removal drains, and its table is never purged
         for planned in ({"planned": True}, {}):
@@ -237,20 +254,53 @@ class TestRunSpec:
     def test_global_variant_collapses_to_pooled_server(self):
         exp = parse(policy={"kind": "global-ps"},
                     intra={"kind": "cfcfs"})
-        spec = exp.build_runspec("default", 0.5, 1)
-        assert spec.n_servers == 1 and spec.workers == [64]
-        assert spec.policy_kind == "hash" and spec.intra_kind == "ps"
-        assert spec.loc_sets == [[0]] and spec.policy_kind != "client"
+        v = exp.build_runspec("default", 0.5, 1).variant
+        assert v.n_servers == 1 and v.workers == [64]
+        assert v.policy == "hash" and v.intra_kind == "ps"
+        assert v.loc_sets == [[0]] and v.policy != "client"
 
     def test_global_cfcfs_forces_fcfs_discipline(self):
         exp = parse(policy={"kind": "global-cfcfs"}, intra={"kind": "ps"})
-        assert exp.build_runspec("default", 0.5, 1).intra_kind == "cfcfs"
+        assert exp.build_runspec("default", 0.5, 1).variant.intra_kind == "cfcfs"
 
     def test_client_variant_samples_at_clients(self):
         exp = parse(policy={"kind": "client", "k": 2, "clients": 100})
-        spec = exp.build_runspec("default", 0.5, 1)
-        assert spec.policy_kind == "client"
-        assert spec.clients == 100 and spec.n_servers == 8
+        v = exp.build_runspec("default", 0.5, 1).variant
+        assert v.policy == "client"
+        assert v.clients == 100 and v.n_servers == 8
+
+    def test_points_of_a_variant_share_one_variant(self):
+        raw = base_raw(sweep={"loads": [0.5, 0.7], "seeds": [1, 2]})
+        del raw["policy"]
+        raw["policies"] = {"a": {"kind": "shortest"},
+                           "g": {"kind": "global-ps"}}
+        exp = ExperimentConfig.from_dict(raw)
+        for name in exp.variants:
+            assert exp.build_runspec(name, 0.5, 1).variant \
+                is exp.build_runspec(name, 0.7, 2).variant \
+                is exp.variants[name]
+
+    def test_runspec_holds_only_what_differs_between_points(self):
+        assert [f.name for f in dataclasses.fields(RunSpec)] == \
+            ["exp", "variant", "seed", "rate_rps"]
+        assert isinstance(parse().variants["default"], Variant)
+
+    def test_a_run_leaves_its_variant_as_parsed(self):
+        exp = parse(servers={"count": 4, "workers": 2,
+                             "initial_active": [0, 1, 2]},
+                    sweep={"requests_per_point": 3000},
+                    timeline=[{"kind": "add_server", "at_us": 200.0,
+                               "server": 3},
+                              {"kind": "remove_server", "at_us": 400.0,
+                               "server": 0, "planned": False}])
+        parsed = copy.deepcopy(exp.variants["default"])
+        rr = RackRun(exp.build_runspec("default", 0.5, 1))
+        rec = rr.run()
+        assert rec.dispatch_hist[3] > 0 and rec.dropped > 0
+        # the switch flipped its own copy of the active flags
+        assert rr.switch.active == [False, True, True, True]
+        assert exp.variants["default"] == parsed
+        assert exp.active0 == [True, True, True, False]
 
     def test_rate_scales_with_load(self):
         exp = parse()
@@ -282,7 +332,8 @@ class TestRunSpec:
                            "g": {"kind": "global-ps"}}
         exp = ExperimentConfig.from_dict(raw)
         specs = [exp.build_runspec(*point) for point in exp.points()]
-        assert all(spec.classes is exp.classes for spec in specs)
+        assert all(RackRun(spec).factory.classes is exp.classes
+                   for spec in specs)
 
     def test_service_shorthand_is_a_class_with_every_default(self):
         svc = {"kind": "bimodal", "modes": [[0.9, 10.0], [0.1, 100.0]]}
@@ -329,6 +380,12 @@ class TestCli:
             assert main(["validate", str(cfg)]) == 0
             out = capsys.readouterr().out
             assert "ok" in out and "capacity" in out
+
+    def test_validate_prints_each_variant_cost(self, capsys):
+        assert main(["validate", str(CONFIG_DIR / "fig2a.json")]) == 0
+        costs = re.findall(r"^  variant \S+: \S+, (\d+/12) pipeline stages$",
+                           capsys.readouterr().out, re.M)
+        assert costs == ["1/12", "2/12", "3/12", "1/12"]
 
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_raw(servers={"count": 64}))
@@ -419,8 +476,8 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
-        return [fn(job) for job in jobs]
+    def imap(self, fn, jobs):
+        return (fn(job) for job in jobs)
 
 
 TWO_POINTS = dict(TINY, sweep={"loads": [0.5, 0.6], "seeds": [1],
@@ -463,6 +520,21 @@ class TestParallel:
         run_experiment(ExperimentConfig.from_dict(TINY),
                        str(tmp_path / "one"), parallel=16)
         assert FakePool.sizes == [2]
+
+    def test_serial_run_parses_the_config_once(self, tmp_path, monkeypatch):
+        exp = ExperimentConfig.from_dict(TWO_POINTS)
+        built = []
+        init = ExperimentConfig.__init__
+
+        def counting(self, raw):
+            built.append(raw)
+            init(self, raw)
+
+        monkeypatch.setattr(ExperimentConfig, "__init__", counting)
+        logged = []
+        run_experiment(exp, str(tmp_path / "r"), log=logged.append)
+        assert built == []
+        assert len(logged) == 2
 
     def test_pool_writes_what_a_serial_run_writes(self, tmp_path):
         exp = ExperimentConfig.from_dict(TWO_POINTS)

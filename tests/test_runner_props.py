@@ -238,7 +238,7 @@ def test_events_per_single_packet_request(monkeypatch, policy, heap):
     assert rec.dropped == 0 and rec.completed == rec.injected > 0
     # each client's arrival chain also pushes its first send and one that
     # falls past the end of the arrivals
-    assert pushes["heap"] - spec.clients == heap * rec.injected
+    assert pushes["heap"] - spec.variant.clients == heap * rec.injected
     assert pushes["lane"] == 2 * rec.injected
 
 
