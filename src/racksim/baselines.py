@@ -50,6 +50,7 @@ class ClientPolicy:
     hands each reply's load report to the client's view."""
 
     uses_outstanding = False
+    tracks_pair = False
 
     def __init__(self, n_servers: int, clients: int, select):
         self.views = [ClientView(n_servers, select) for _ in range(clients)]

@@ -3,13 +3,16 @@ sweep point into the run specification the simulator consumes.
 
 Unknown keys are rejected (with the offending dotted path) rather than
 ignored, so a typo in a sweep file fails loudly instead of silently running
-defaults. Request classes and their service laws are parsed once, straight
+defaults, and a malformed value fails with its path too, never with a bare
+exception. Request classes and their service laws are parsed once, straight
 into the `ClassSpec` list that every point shares. A config may name several
 policy variants; each is parsed once into a `Variant`, the rack it runs on
 and the policy the switch runs there, which every point of the variant
-shares. Each (variant, load, seed) triple resolves to one RunSpec: the
-config, the variant, the seed and the offered rate. No run changes any of
-them.
+shares. `VARIANT_KEYS` names the keys each policy kind reads: a variant may
+set no other, and a tracking field its kind does not read must keep its
+default, so a variant runs what it says. Each (variant, load, seed) triple
+resolves to one RunSpec: the config, the variant, the seed and the offered
+rate. No run changes any of them.
 """
 
 from __future__ import annotations
@@ -20,14 +23,29 @@ from dataclasses import dataclass
 from itertools import product
 
 from .server import DISCIPLINES
-from .switchsim import MAX_STAGES, TRACKING_KINDS, stage_cost
+from .switchsim import (INT1, MAX_STAGES, PROACTIVE, TRACKING_KINDS,
+                        stage_cost)
 from .workload import ClassSpec, ServiceDistribution
 
 # rack-level baselines: dispatch at the clients, or one pooled server
 GLOBAL_BASELINES = ("global-cfcfs", "global-ps")
 RACK_BASELINES = ("client", *GLOBAL_BASELINES)
-POLICY_KINDS = ("random", "hash", "rr", "shortest", "sampling", "jbsq",
-                *RACK_BASELINES)
+# The variant keys each policy kind reads; reading `tracking` reads both of
+# its fields. A variant key its kind does not read is rejected, and so is a
+# tracking field away from its default (int1, no reply loss).
+VARIANT_KEYS = {
+    "random": (),
+    "hash": (),
+    "rr": (),
+    "shortest": ("tracking",),
+    "sampling": ("k", "tracking"),
+    "int2": ("tracking.rep_loss_prob",),
+    "jbsq": ("bound",),
+    "client": ("k", "clients", "tracking.kind"),
+    "global-cfcfs": (),
+    "global-ps": (),
+}
+POLICY_KINDS = tuple(VARIANT_KEYS)
 TIMELINE_KINDS = ("switch_fail", "add_server", "remove_server", "set_load", "set_mix")
 
 
@@ -67,7 +85,7 @@ def _num(block: dict, key: str, path: str, default, lo=None, hi=None,
 
 def _choice(block: dict, key: str, path: str, choices, default=None):
     v = block.get(key, default)
-    if v not in choices:
+    if not isinstance(v, str) or v not in choices:
         _fail(f"{path}.{key}", f"must be one of {sorted(choices)}, got {v!r}")
     return v
 
@@ -78,9 +96,24 @@ def _server_id(x, n_servers: int) -> bool:
             and 0 <= x < n_servers)
 
 
+def _reads(kind: str, key: str) -> bool:
+    """Whether policy kind `kind` reads variant key `key`, such as `k` or
+    `tracking.kind`."""
+    reads = VARIANT_KEYS[kind]
+    return key in reads or key.split(".")[0] in reads
+
+
+def _only_for(key: str) -> str:
+    return "only valid for kind(s) " + ", ".join(
+        kind for kind in POLICY_KINDS if _reads(kind, key))
+
+
 def _parse_tracking(block: dict, path: str):
     """A tracking block, top-level or per variant: (kind, rep_loss_prob)."""
     _check_keys(block, {"kind", "rep_loss_prob"}, path)
+    if block.get("kind") == "int2":
+        _fail(f"{path}.kind", 'int2 is a policy kind: give the variant '
+                              '{"kind": "int2"}')
     return (_choice(block, "kind", path, TRACKING_KINDS, "int1"),
             _num(block, "rep_loss_prob", path, 0.0, lo=0.0, hi=1.0))
 
@@ -277,7 +310,8 @@ class ExperimentConfig:
             if loc is None:
                 loc_idx = 0
             else:
-                loc_idx = self.loc_index.get(loc)
+                loc_idx = (self.loc_index.get(loc) if isinstance(loc, str)
+                           else None)
                 if loc_idx is None:
                     _fail(f"{path}.locality", f"unknown locality set {loc!r}")
             self.classes.append(ClassSpec(
@@ -297,7 +331,8 @@ class ExperimentConfig:
         so they are parsed after the workload, intra and timeline blocks."""
         if ("policy" in raw) == ("policies" in raw):
             _fail("config", "give exactly one of 'policy' or 'policies'")
-        blocks = raw.get("policies") or {"default": raw["policy"]}
+        blocks = (raw["policies"] if "policies" in raw
+                  else {"default": raw["policy"]})
         if not isinstance(blocks, dict) or not blocks:
             _fail("policies", "must be a non-empty object of name -> policy")
         uses_locality = any(c.locality != 0 for c in self.classes)
@@ -311,21 +346,31 @@ class ExperimentConfig:
                 _fail("policies", "variant names must be non-empty strings")
             _check_keys(pb, {"kind", "k", "bound", "clients", "tracking"}, path)
             kind = _choice(pb, "kind", path, POLICY_KINDS)
+            for key in ("k", "bound", "clients"):
+                if key in pb and not _reads(kind, key):
+                    _fail(f"{path}.{key}", _only_for(key))
             k = _num(pb, "k", path, 2, lo=1, integer=True)
-            if kind in ("sampling", "client") and k > self.n_servers:
+            if _reads(kind, "k") and k > self.n_servers:
                 _fail(f"{path}.k", f"cannot exceed server count {self.n_servers}")
             bound = _num(pb, "bound", path, 3, lo=1, integer=True)
             clients = _num(pb, "clients", path, None, lo=1, integer=True,
                            allow_none=True)
-            if clients is not None and kind != "client":
-                _fail(f"{path}.clients", "client count override is only valid "
-                                         "for kind 'client'")
-            # tracking may be overridden per variant (ablation sweeps)
+            # tracking may be overridden per variant (ablation sweeps); a
+            # field the kind does not read fails at the block that set it
             if "tracking" in pb:
                 tpath = f"{path}.tracking"
                 track = _parse_tracking(pb["tracking"], tpath)
             else:
                 tpath, track = "tracking", (self.tracking, self.rep_loss_prob)
+            if track[0] != INT1 and not _reads(kind, "tracking.kind"):
+                _fail(f"{tpath}.kind", f"{kind} reads no tracking kind; "
+                      + _only_for("tracking.kind"))
+            if track[1] > 0.0 and not _reads(kind, "tracking.rep_loss_prob"):
+                _fail(f"{tpath}.rep_loss_prob", f"reply loss has no effect "
+                      f"under {kind}; " + _only_for("tracking.rep_loss_prob"))
+            if kind == "client" and track[0] == PROACTIVE:
+                _fail(f"{tpath}.kind", "client views read the servers' "
+                                       "reports: int1 or int3")
             if kind in GLOBAL_BASELINES:
                 rack = dict(n_servers=1, workers=[self.active_workers],
                             active0=[True], loc_sets=[[0]],
@@ -351,14 +396,6 @@ class ExperimentConfig:
                 _fail(f"{path}.clients",
                       "cannot override the client count when wfq weights are "
                       "per client")
-            # jbsq counts its shared row proactively, so piggyback tracking
-            # and reply loss would be dead config under jbsq
-            if kind == "jbsq" and track[0] != "int1":
-                _fail(f"{tpath}.kind",
-                      "jbsq tracks outstanding replies itself; use int1 with jbsq")
-            if kind == "jbsq" and track[1] > 0.0:
-                _fail(f"{tpath}.rep_loss_prob",
-                      "reply loss has no effect on jbsq's outstanding counts")
             self.variants[vname] = Variant(
                 **rack, policy=policy, k=k, bound=bound,
                 clients=self.clients if clients is None else clients,

@@ -34,7 +34,7 @@ from .baselines import ClientPolicy
 from .config import ExperimentConfig, RunSpec
 from .engine import EventLoop, RngStreams
 from .server import Server
-from .switchsim import INT1, ReqTable, SamplingPolicy, Switch, make_policy
+from .switchsim import ReqTable, SamplingPolicy, Switch, make_policy
 from .workload import RequestFactory
 
 
@@ -92,12 +92,11 @@ class RackRun:
         else:
             policy = make_policy(v.policy, n_classes, policy_salt, k=v.k,
                                  bound=v.bound)
-        # the switch reads no load for the clients' pick, which an int2 pair
-        # would replace; the servers report as `v.tracking` says. The switch
-        # changes its own copy of the active flags.
+        # the servers report as `v.tracking` says; the switch changes its own
+        # copy of the active flags
         self.switch = Switch(
             v.n_servers, n_classes, v.loc_sets, list(v.active0),
-            policy, INT1 if self.views else v.tracking, table,
+            policy, v.tracking, table,
             self.streams.get("sampling"), self.streams.get("loss"),
             fallback_salt, rep_loss_prob=v.rep_loss_prob,
             trace_affinity=trace_affinity)
@@ -226,7 +225,11 @@ class RackRun:
             self.sim.schedule(now + ev["duration_us"], self._ev_recover, None)
         elif kind == "add_server":
             sid = ev["server"]
-            self.servers[sid].failed = False
+            srv = self.servers[sid]
+            if srv.failed:
+                # it comes back empty: what the switch counted on it is lost
+                self.switch.forget_server(sid)
+                srv.failed = False
             for release in self.switch.set_active(sid, True, now):
                 self._forward(now, release)
         elif kind == "remove_server":

@@ -6,12 +6,13 @@ First packets (REQF, `route_reqf`) pick a server and record the mapping;
 subsequent packets (REQR, `route_reqr`) follow the mapping; final replies
 (REP, `note_rep`) clear it and update tracked load.
 There is one `route_reqf`: it selects over the request's class row of
-`loads`, a per-class load table built at construction. Its rows are the
-tracked counters (int1, int3, proactive), the class's int2 (server, minimum)
-pair, or, for JBSQ, one row of outstanding counts that every class shares.
-JBSQ counts that row as proactive tracking does: one up on dispatch, one
-down on the final reply. A request JBSQ cannot place waits in `stalled`, one
-FIFO map from req_id to the request and its buffered follow-on packets.
+`loads`, a per-class load table built at construction. The policy says what
+its rows hold: the tracked counters (int1, int3, proactive), the class's
+(server, minimum) pair for the `int2` policy, or, for JBSQ, one row of
+outstanding counts that every class shares. JBSQ counts that row as
+proactive tracking does: one up on dispatch, one down on the final reply.
+A request JBSQ cannot place waits in `stalled`, one FIFO map from req_id to
+the request and its buffered follow-on packets.
 A REQR whose mapping is missing (table overflow, post-failure) falls back to
 hash routing over the *physical* membership of the request's locality set so
 that every packet of a request still reaches one server.
@@ -34,9 +35,9 @@ from collections import OrderedDict
 from .baselines import hash_pick
 from .engine import SimulationError
 
-# load tracking mechanisms
-INT1, INT2, INT3, PROACTIVE = "int1", "int2", "int3", "proactive"
-TRACKING_KINDS = (INT1, INT2, INT3, PROACTIVE)
+# load tracking mechanisms; int2's tracked pair is a policy of its own
+INT1, INT3, PROACTIVE = "int1", "int3", "proactive"
+TRACKING_KINDS = (INT1, INT3, PROACTIVE)
 
 # pipeline budget of the switch: stages, comparisons and reads per stage
 MAX_STAGES = 12
@@ -51,7 +52,7 @@ def stage_cost(kind: str, n_servers: int, k: int = 0) -> int:
     ceil(layer_width / COMPARISONS_PER_STAGE), with layer widths halving.
     Sampling(k) prepends ceil(k / READS_PER_STAGE) stages to read the
     sampled counters. Client dispatch picks at the clients, so the switch
-    only forwards.
+    only forwards; int2 reads its one tracked pair.
     """
     def tree(s: int) -> int:
         stages = 0
@@ -61,7 +62,7 @@ def stage_cost(kind: str, n_servers: int, k: int = 0) -> int:
             s = s - width
         return stages
 
-    if kind in ("hash", "rr", "random", "client"):
+    if kind in ("hash", "rr", "random", "client", "int2"):
         return 1
     if kind in ("shortest", "jbsq"):
         return tree(n_servers)
@@ -154,21 +155,26 @@ class ReqTable:
 
 
 # A policy's select(loads, elig, rnd, req) picks a server for `req` from
-# `elig`, its eligible servers, given `loads` indexed by server; JBSQ returns
-# None when the request must stall.
+# `elig`, its eligible servers, given `loads`, its class's row of the
+# switch's load table; JBSQ returns None when the request must stall.
 
-class RandomPolicy:
-    """Uniform pick among the eligible servers."""
+class Policy:
+    """What a policy's load rows hold: by default the tracked counters,
+    indexed by server; JBSQ's one shared row of outstanding counts, or
+    int2's (server, minimum) pair per class."""
 
     uses_outstanding = False
+    tracks_pair = False
+
+
+class RandomPolicy(Policy):
+    """Uniform pick among the eligible servers."""
 
     def select(self, loads, elig, rnd, req):
         return elig[int(rnd.random() * len(elig))]
 
 
-class HashRandomPolicy:
-    uses_outstanding = False
-
+class HashRandomPolicy(Policy):
     def __init__(self, salt: int):
         self.salt = salt
 
@@ -176,10 +182,8 @@ class HashRandomPolicy:
         return hash_pick(req.req_id, elig, self.salt)
 
 
-class RoundRobinPolicy:
+class RoundRobinPolicy(Policy):
     """Cyclic counter per class over the eligible list."""
-
-    uses_outstanding = False
 
     def __init__(self, n_classes: int):
         self._next = [0] * n_classes
@@ -191,14 +195,12 @@ class RoundRobinPolicy:
         return elig[i % len(elig)]
 
 
-class SamplingPolicy:
+class SamplingPolicy(Policy):
     """Power-of-k-choices over the eligible set: k distinct eligible servers
     sampled uniformly, least load wins, lowest index on ties (Mitzenmacher,
     IEEE TPDS 2001). With k >= len(elig) every eligible server is a
     candidate, the first minimum in eligible order wins and no random number
     is drawn."""
-
-    uses_outstanding = False
 
     def __init__(self, k: int):
         if k < 1:
@@ -268,6 +270,20 @@ class JBSQPolicy(SamplingPolicy):
         return None
 
 
+class Int2Policy(Policy):
+    """INT2: each class's row is one tracked (server, minimum) pair. A
+    report from the pair's server, or a smaller one from another server,
+    replaces it, and each dispatch to the pair's server counts it up. Every
+    request of the class goes to the pair's server when that server is
+    eligible for its locality set, else to the set's first eligible server,
+    so a class herds onto one server until a report moves the pair."""
+
+    tracks_pair = True
+
+    def select(self, pair, elig, rnd, req):
+        return pair[0] if pair[0] in elig else elig[0]
+
+
 def make_policy(kind: str, n_classes: int, salt: int, k: int = 2, bound: int = 3):
     """`shortest` is sampling with every eligible server a candidate: the
     exact minimum, lowest index on ties."""
@@ -283,13 +299,9 @@ def make_policy(kind: str, n_classes: int, salt: int, k: int = 2, bound: int = 3
         return SamplingPolicy(k)
     if kind == "jbsq":
         return JBSQPolicy(bound)
+    if kind == "int2":
+        return Int2Policy()
     raise ValueError(f"unknown policy kind {kind!r}")
-
-
-def _pick_int2(pair, elig, rnd, req):
-    """int2's select: the class's tracked (server, minimum) pair decides,
-    when that server is eligible for the request's locality set."""
-    return pair[0] if pair[0] in elig else elig[0]
 
 
 class Switch:
@@ -322,10 +334,12 @@ class Switch:
         # bound once here; recover() zeroes the rows in place to keep them.
         # JBSQ counts outstanding requests as proactive tracking does, over
         # one row every class shares: `outstanding`, all zeros otherwise.
+        # An int2 pair takes its reports whatever `tracking` says.
         self.outstanding = [0] * n_servers
-        self._proactive = tracking == PROACTIVE or policy.uses_outstanding
-        self._int2 = tracking == INT2 and not self._proactive
-        self._select = _pick_int2 if self._int2 else policy.select
+        self._int2 = policy.tracks_pair
+        self._proactive = not self._int2 and (
+            tracking == PROACTIVE or policy.uses_outstanding)
+        self._select = policy.select
         if policy.uses_outstanding:
             self.loads = [self.outstanding] * n_classes
         elif self._int2:
@@ -371,6 +385,14 @@ class Switch:
             for req in (sreq, *follow):
                 self.mark_dropped(req)
         self.stalled.clear()
+
+    def forget_server(self, server: int) -> None:
+        """A failed server comes back empty: zero its entry in every row the
+        switch counts itself (JBSQ's `outstanding`, the proactive rows), as
+        the requests those counts stood for were lost and never reply."""
+        if self._proactive:
+            for row in self.loads:
+                row[server] = 0
 
     def recover(self):
         """Resume with empty ReqTable and zeroed load table."""

@@ -9,7 +9,8 @@ import re
 import pytest
 
 from racksim.cli import main
-from racksim.config import ConfigError, ExperimentConfig, RunSpec, Variant
+from racksim.config import (POLICY_KINDS, VARIANT_KEYS, ConfigError,
+                            ExperimentConfig, RunSpec, Variant)
 from racksim.runner import CSV_COLUMNS, RackRun, run_experiment, run_point
 
 from conftest import CONFIG_DIR, ROOT
@@ -113,6 +114,20 @@ class TestReadme:
             assert listed[block] == allowed[block], block
 
 
+    def test_policy_row_lists_the_keys_each_kind_reads(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        row = next(line for line in readme.splitlines()
+                   if line.startswith("| `policy` / `policies` |"))
+        listed = {}
+        for part in row.split("`config.VARIANT_KEYS`): ")[1].split(". ")[0] \
+                .split("; "):
+            kinds, keys = part.split(": ")
+            keys = re.findall(r"`([a-z_.]+)`", re.sub(r"\([^)]*\)", "", keys))
+            for kind in re.findall(r"`([a-z0-9-]+)`", kinds):
+                listed[kind] = tuple(keys)
+        assert listed == VARIANT_KEYS
+
+
 class TestRejection:
     def check(self, match, **over):
         with pytest.raises(ConfigError, match=match):
@@ -196,6 +211,92 @@ class TestRejection:
     def test_clients_override_only_for_client_kind(self):
         self.check("only valid", policy={"kind": "shortest", "clients": 10})
 
+    @pytest.mark.parametrize("kind", [k for k in POLICY_KINDS if k != "int2"])
+    def test_int2_tracking_points_at_the_policy_kind(self, kind):
+        # int2's tracked pair picks the server itself, whatever the kind
+        self.check(r'^policy\.tracking\.kind: int2 is a policy kind: give the '
+                   r'variant \{"kind": "int2"\}$',
+                   policy={"kind": kind, "tracking": {"kind": "int2"}})
+
+    def test_top_level_int2_tracking_points_at_the_policy_kind(self):
+        self.check(r'^tracking\.kind: int2 is a policy kind: give the variant '
+                   r'\{"kind": "int2"\}$', tracking={"kind": "int2"})
+
+    def test_k_under_shortest(self):
+        self.check(r"^policy\.k: only valid for kind\(s\) sampling, client$",
+                   policy={"kind": "shortest", "k": 2})
+
+    def test_bound_under_sampling(self):
+        self.check(r"^policy\.bound: only valid for kind\(s\) jbsq$",
+                   policy={"kind": "sampling", "bound": 3})
+
+    def test_rep_loss_under_client(self):
+        # the clients' views take every reply; the loss would hit only the
+        # switch's rows, which client dispatch never reads
+        self.check(r"^policy\.tracking\.rep_loss_prob: reply loss has no "
+                   r"effect under client; only valid for kind\(s\) shortest, "
+                   r"sampling, int2$",
+                   policy={"kind": "client",
+                           "tracking": {"rep_loss_prob": 0.01}})
+
+    def test_proactive_tracking_under_client(self):
+        self.check(r"^policy\.tracking\.kind: client views read the servers' "
+                   r"reports: int1 or int3$",
+                   policy={"kind": "client", "tracking": {"kind": "proactive"}})
+
+    def test_a_variant_accepts_exactly_the_keys_its_kind_reads(self):
+        # every kind, each key away from its default: accepted exactly when
+        # the table lists the key, or `tracking` for a tracking field
+        edits = {"k": {"k": 3}, "bound": {"bound": 2},
+                 "clients": {"clients": 4},
+                 "tracking.kind": {"tracking": {"kind": "int3"}},
+                 "tracking.rep_loss_prob": {"tracking": {"rep_loss_prob": 0.1}}}
+        accepted = set()
+        for kind in POLICY_KINDS:
+            for key, edit in edits.items():
+                try:
+                    parse(policy={"kind": kind, **edit})
+                except ConfigError as exc:
+                    field = key.split(".")[-1]
+                    assert re.match(rf"^policy\.(tracking\.)?{field}: ",
+                                    str(exc)), str(exc)
+                else:
+                    accepted.add((kind, key))
+        assert accepted == {
+            (kind, key) for kind, reads in VARIANT_KEYS.items()
+            for key in edits if key in reads or key.split(".")[0] in reads}
+        assert sum(len(reads) for reads in VARIANT_KEYS.values()) == 8
+
+    def test_unread_tracking_at_its_default_is_accepted(self):
+        exp = parse(policy={"kind": "jbsq", "tracking": {"kind": "int1",
+                                                          "rep_loss_prob": 0}})
+        v = exp.variants["default"]
+        assert (v.tracking, v.rep_loss_prob) == ("int1", 0.0)
+
+    @pytest.mark.parametrize("policies", [{}, [], 0, False, None])
+    def test_falsy_policies(self, policies):
+        raw = base_raw()
+        del raw["policy"]
+        raw["policies"] = policies
+        with pytest.raises(ConfigError, match=r"^policies: must be a non-empty "
+                                              r"object"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("value", [[1], {"a": 1}], ids=["list", "object"])
+    @pytest.mark.parametrize("path,over", [
+        ("intra.kind", lambda v: {"intra": {"kind": v}}),
+        ("tracking.kind", lambda v: {"tracking": {"kind": v}}),
+        ("workload.service.kind", lambda v: {
+            "workload": {"service": {"kind": v, "mean_us": 50.0}}}),
+        (r"timeline\[0\]\.kind", lambda v: {
+            "timeline": [{"kind": v, "at_us": 1.0}]}),
+        (r"workload\.classes\[0\]\.locality", lambda v: {
+            "workload": {"classes": [{"tag": "a", "locality": v, "service": {
+                "kind": "exponential", "mean_us": 50.0}}]}}),
+    ], ids=["intra", "tracking", "service", "timeline", "locality"])
+    def test_unhashable_choice_carries_its_path(self, path, over, value):
+        self.check(rf"^{path}: ", **over(value))
+
     def test_duplicate_class_tags(self):
         svc = {"kind": "exponential", "mean_us": 50.0}
         self.check("duplicate", workload={"classes": [
@@ -268,6 +369,13 @@ class TestRunSpec:
         v = exp.build_runspec("default", 0.5, 1).variant
         assert v.policy == "client"
         assert v.clients == 100 and v.n_servers == 8
+
+    def test_int2_variant_takes_reply_loss_and_int1_reports(self):
+        exp = parse(policy={"kind": "int2",
+                            "tracking": {"rep_loss_prob": 0.01}})
+        v = exp.variants["default"]
+        assert (v.policy, v.tracking, v.rep_loss_prob, v.cost) == \
+            ("int2", "int1", 0.01, 1)
 
     def test_points_of_a_variant_share_one_variant(self):
         raw = base_raw(sweep={"loads": [0.5, 0.7], "seeds": [1, 2]})
@@ -386,6 +494,11 @@ class TestCli:
         costs = re.findall(r"^  variant \S+: \S+, (\d+/12) pipeline stages$",
                            capsys.readouterr().out, re.M)
         assert costs == ["1/12", "2/12", "3/12", "1/12"]
+
+    def test_validate_prints_int2_as_the_paired_min_policy(self, capsys):
+        assert main(["validate", str(CONFIG_DIR / "fig12.json")]) == 0
+        assert "  variant paired-min: int2, 1/12 pipeline stages\n" in \
+            capsys.readouterr().out
 
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_raw(servers={"count": 64}))

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from racksim.baselines import ClientView
-from racksim.config import POLICY_KINDS, RACK_BASELINES, ExperimentConfig
+from racksim.config import RACK_BASELINES, VARIANT_KEYS, ExperimentConfig
 from racksim.engine import EventLoop
 from racksim.runner import CSV_COLUMNS, RackRun, _format_row, run_point
 from racksim.server import DISCIPLINES
@@ -163,16 +163,6 @@ def test_client_views_take_each_reply_when_it_reaches_the_client(monkeypatch):
     rec = rr.run()
     assert rec.completed == rec.injected == len(observed) > 0
     assert sorted(observed) == sorted(expected)
-
-
-def test_client_dispatch_under_int2_tracking_keeps_the_clients_pick():
-    # the switch reads no load under client dispatch, so its int2 pair must
-    # not stand in for the clients' pick; servers report alike under both
-    runs = [run_point(make_exp(policy={"kind": "client", "k": 2},
-                               tracking={"kind": kind}), "default", 0.6, 1)
-            for kind in ("int1", "int2")]
-    assert runs[0].samples == runs[1].samples
-    assert runs[0].dispatch_hist == runs[1].dispatch_hist
 
 
 def test_client_dispatch_skips_servers_not_yet_active():
@@ -391,14 +381,44 @@ def test_int2_dispatches_inside_the_locality_set():
         "workload": {"classes": [
             {"tag": "pinned", "locality": "east",
              "service": {"kind": "exponential", "mean_us": 50.0}}]},
-        "policy": {"kind": "sampling", "k": 2},
-        "tracking": {"kind": "int2"},
+        "policy": {"kind": "int2"},
         "sweep": {"loads": [0.3], "seeds": [1], "requests_per_point": 20000},
     }
     rec = run_point(ExperimentConfig.from_dict(raw), "default", 0.3, 1)
     assert rec.dispatch_hist[:4] == [0, 0, 0, 0]
     assert sum(rec.dispatch_hist[4:]) == rec.injected
     assert rec.in_flight() == 0
+
+
+@pytest.mark.parametrize("policy", [
+    {"kind": "jbsq", "bound": 2},
+    {"kind": "shortest", "tracking": {"kind": "proactive"}},
+], ids=["jbsq", "proactive"])
+def test_a_failed_server_comes_back_with_no_counts(policy):
+    # server 0 fails holding requests the switch counted, which never reply;
+    # back in the rack it must take its share again, and every row the
+    # switch counts itself drains to zero. Ties go to the lowest index, so
+    # a server that comes back empty gets the most dispatches, not the least
+    exp = ExperimentConfig.from_dict({
+        "name": "count-leak",
+        "servers": {"count": 4, "workers": 2},
+        "workload": {"service": {"kind": "exponential", "mean_us": 50.0}},
+        "policy": policy,
+        "timeline": [{"kind": "remove_server", "at_us": 20000.0, "server": 0,
+                      "planned": False},
+                     {"kind": "add_server", "at_us": 40000.0, "server": 0}],
+        "sweep": {"loads": [0.6], "seeds": [1], "requests_per_point": 20000},
+    })
+    rr = RackRun(exp.build_runspec("default", 0.6, 1))
+    at_readd = []
+    rr.sim.schedule(40000.0, lambda now, _: at_readd.append(
+        list(rr.switch.dispatch_hist)), None)
+    rec = rr.run()
+    after = [n - m for n, m in zip(rec.dispatch_hist, at_readd[0])]
+    assert sum(after) > 15000
+    assert after[0] >= min(after[1:])
+    assert all(v == 0 for row in rr.switch.loads for v in row)
+    assert rec.injected == rec.completed + rec.dropped and rec.dropped > 0
 
 
 def test_jbsq_release_sends_each_group_member_once():
@@ -606,10 +626,10 @@ def test_every_discipline_runs_from_a_config(intra):
 
 
 @pytest.mark.parametrize("policy,tracking", [
-    (p, t) for p in POLICY_KINDS if p not in RACK_BASELINES
-    for t in TRACKING_KINDS if p != "jbsq" or t == "int1"])
+    (p, t) for p, reads in VARIANT_KEYS.items() if p not in RACK_BASELINES
+    for t in (TRACKING_KINDS if "tracking" in reads else ("int1",))])
 def test_every_policy_and_tracking_runs_from_a_config(policy, tracking):
-    # each switch policy under each tracking config accepts, over a pinned
+    # each switch policy under each tracking kind it reads, over a pinned
     # class and a 2-packet class, loses no request and leaves the switch
     # and every server empty, and counted load rows back at zero
     service = {"kind": "exponential", "mean_us": 30.0}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from racksim.baselines import ClientView
 from racksim.switchsim import (
-    INT1, INT2, INT3, PROACTIVE, ReqTable, Switch, make_policy, stage_cost)
+    INT1, INT3, PROACTIVE, ReqTable, Switch, make_policy, stage_cost)
 from racksim.workload import Group, Request
 
 
@@ -46,6 +46,9 @@ class TestStageCost:
     def test_stateless_policies_cost_one_stage(self):
         for kind in ("random", "hash", "rr"):
             assert stage_cost(kind, 8) == 1
+
+    def test_int2_reads_one_tracked_pair(self):
+        assert stage_cost("int2", 8) == stage_cost("int2", 64) == 1
 
     def test_min_tree_over_eight(self):
         assert stage_cost("shortest", 8) == 3
@@ -469,7 +472,7 @@ class TestTracking:
         assert sw.loads[0][dst] == 0
 
     def test_int2_tracks_minimum_pair(self):
-        sw = make_switch("random", tracking=INT2)
+        sw = make_switch("int2")
         pair = sw.loads[0]
         r1 = make_req(1)
         sw.route_reqf(r1, 0.0)  # forced to pair server, bumps stored value
@@ -483,13 +486,13 @@ class TestTracking:
         assert pair == [2, 3]  # larger report from elsewhere is ignored
 
     def test_int2_dispatches_to_tracked_server(self):
-        sw = make_switch("random", tracking=INT2)
+        sw = make_switch("int2")
         sw.loads[0][:] = [3, 0]
         picks = {sw.route_reqf(make_req(r), 0.0) for r in range(1, 20)}
         assert picks == {3}
 
     def test_int2_stays_inside_the_locality_set(self):
-        sw = make_switch("random", tracking=INT2, loc_sets=[[0, 1, 2, 3], [2, 3]])
+        sw = make_switch("int2", loc_sets=[[0, 1, 2, 3], [2, 3]])
         assert sw.loads[0][0] == 0          # the tracked server is outside set 1
         picks = {sw.route_reqf(make_req(r, locality=1), 0.0)
                  for r in range(1, 20)}
@@ -638,7 +641,7 @@ class TestFaults:
         ("shortest", INT1, 4,
          lambda sw: sw.note_rep(make_req(1), 0, 9, final=True, now=1.0)),
         ("shortest", PROACTIVE, 4, lambda sw: sw.route_reqf(make_req(1), 0.0)),
-        ("random", INT2, 4, _int2_moved_to_server_2),
+        ("int2", INT1, 4, _int2_moved_to_server_2),
         ("jbsq", INT1, 2, lambda sw: [sw.route_reqf(make_req(r), 0.0)
                                       for r in (1, 2)]),
     ], ids=["int1", "proactive", "int2", "jbsq"])
