@@ -39,7 +39,8 @@ from .workload import RequestFactory
 
 
 class RackRun:
-    """One simulation run: a rack under one policy at one load and seed."""
+    """One simulation run: a rack under one policy at one load and seed.
+    `trace_affinity` does nothing (the switch always counts affinity)."""
 
     def __init__(self, spec: RunSpec, trace_affinity: bool = False):
         self.spec = spec
@@ -98,8 +99,7 @@ class RackRun:
             v.n_servers, n_classes, v.loc_sets, list(v.active0),
             policy, v.tracking, table,
             self.streams.get("sampling"), self.streams.get("loss"),
-            fallback_salt, rep_loss_prob=v.rep_loss_prob,
-            trace_affinity=trace_affinity)
+            fallback_salt, rep_loss_prob=v.rep_loss_prob)
 
         priorities = [c.priority for c in exp.classes]
         self.servers = [
@@ -306,7 +306,7 @@ class RackRun:
             injected=self.factory.created,
             completed=self.completed_total,
             dropped=self.switch.dropped_requests,
-            dispatch_hist=list(self.switch.dispatch_hist),
+            dispatch_hist=self.switch.dispatch_hist,
             fallback_inserts=self.switch.fallback_insert,
             fallback_reads=self.switch.fallback_read,
             census_system=self.census_system,

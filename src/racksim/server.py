@@ -138,6 +138,8 @@ class Server:
             self.drop_sink(req)
             return
         if req.packets > 1:
+            if req.dropped:     # lost with a failed server or at the switch
+                return
             left = req.pkts_pending - 1
             req.pkts_pending = left
             if left > 0:
@@ -358,7 +360,7 @@ class Server:
 
     def fail(self) -> list:
         """Unplanned removal: every queued, running, and partially-arrived
-        request is lost. Returns the lost requests for drop accounting."""
+        request is lost unless it completed elsewhere; returns the lost ones."""
         lost = []
         for q in self._queues.values():
             lost.extend(q)
@@ -368,7 +370,7 @@ class Server:
                 lost.append(self.w_req[wid])
                 self.w_req[wid] = None
             self.w_token[wid] += self.n_workers
-        lost.extend(self.partial.values())
+        lost.extend(r for r in self.partial.values() if r.pkts_pending)
         self.partial.clear()
         self.idle = list(range(self.n_workers - 1, -1, -1))
         self.busy = 0

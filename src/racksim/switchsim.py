@@ -16,6 +16,8 @@ the request and its buffered follow-on packets.
 A REQR whose mapping is missing (table overflow, post-failure) falls back to
 hash routing over the *physical* membership of the request's locality set so
 that every packet of a request still reaches one server.
+Every run counts dispatches per (class, server), and affinity violations:
+fallbacks off the server of a purged or cleared mapping (`ReqTable.purged`).
 Each policy's `select` is its chooser, called once per dispatch. Every
 request passes through the switch whatever the policy: client-based
 dispatch is the policy `baselines.ClientPolicy`, whose `select` returns the
@@ -85,10 +87,12 @@ class ReqTable:
     probes. Set-up and memory follow the requests in flight, not stages x
     slots, and TTL purging looks only at the live entries. The system places
     a req_id at most once while it is live, so reads, removes and purges
-    answer by req_id alone, with no probe.
+    answer by req_id alone, with no probe. `purged` keeps, for the rest of
+    the run, one req_id -> server entry per mapping a purge or `clear` drops;
+    a final reply's `remove` keeps none, as no packet of its request follows.
     """
 
-    __slots__ = ("slots_per_stage", "salts", "ttl_us", "_live", "_used")
+    __slots__ = ("slots_per_stage", "salts", "ttl_us", "purged", "_live", "_used")
 
     def __init__(self, stages: int, slots_per_stage: int, salts: list[int],
                  ttl_us: float):
@@ -97,6 +101,7 @@ class ReqTable:
         self.slots_per_stage = slots_per_stage
         self.salts = salts
         self.ttl_us = ttl_us
+        self.purged: dict[int, int] = {}
         self._live: dict[int, tuple[int, int, float]] = {}
         self._used: set[int] = set()
 
@@ -132,10 +137,9 @@ class ReqTable:
         return True
 
     def _drop(self, req_ids) -> int:
-        live = self._live
-        used = self._used
         for req_id in req_ids:
-            used.remove(live.pop(req_id)[0])
+            slot, self.purged[req_id], _ = self._live.pop(req_id)
+            self._used.remove(slot)
         return len(req_ids)
 
     def purge_stale(self, now: float) -> int:
@@ -150,8 +154,7 @@ class ReqTable:
                            if e[1] == server])
 
     def clear(self) -> None:
-        self._live.clear()
-        self._used.clear()
+        self._drop(list(self._live))
 
 
 # A policy's select(loads, elig, rnd, req) picks a server for `req` from
@@ -305,12 +308,14 @@ def make_policy(kind: str, n_classes: int, salt: int, k: int = 2, bound: int = 3
 
 
 class Switch:
-    """Switch state machine: returns forwarding decisions, never schedules."""
+    """Switch state machine: returns forwarding decisions, never schedules.
+    Every run counts `dispatched[c][s]`, class c's dispatches to server s,
+    and `affinity_violations` against the table's purged mappings."""
 
     def __init__(self, n_servers: int, n_classes: int, loc_sets: list[list[int]],
                  active: list[bool], policy, tracking: str, reqtable: ReqTable,
                  rnd_sampling, rnd_loss, fallback_salt: int,
-                 rep_loss_prob: float = 0.0, trace_affinity: bool = False):
+                 rep_loss_prob: float = 0.0):
         if tracking not in TRACKING_KINDS:
             raise SimulationError(f"unknown tracking kind {tracking!r}")
         self.n_servers = n_servers
@@ -348,14 +353,19 @@ class Switch:
             zero = 0.0 if tracking == INT3 else 0
             self.loads = [[zero] * n_servers for _ in range(n_classes)]
 
-        self.dispatch_hist = [0] * n_servers
+        self.dispatched = [[0] * n_servers for _ in range(n_classes)]
         self.fallback_insert = 0
         self.fallback_read = 0
         self.dropped_requests = 0
-        self.deliveries: dict | None = {} if trace_affinity else None
         self.affinity_violations = 0
-        self.class_dispatch: list | None = (
-            [dict() for _ in range(n_classes)] if trace_affinity else None)
+
+    @property
+    def dispatch_hist(self) -> list:
+        return [sum(col) for col in zip(*self.dispatched)]
+
+    @property
+    def class_dispatch(self) -> list:
+        return [{s: n for s, n in enumerate(row) if n} for row in self.dispatched]
 
     # -- eligibility / faults ------------------------------------------------
 
@@ -406,15 +416,6 @@ class Switch:
             req.dropped = True
             self.dropped_requests += 1
 
-    # -- affinity instrumentation (tests) -------------------------------------
-
-    def _trace(self, req_id: int, server: int):
-        seen = self.deliveries.get(req_id)
-        if seen is None:
-            self.deliveries[req_id] = server
-        elif seen != server:
-            self.affinity_violations += 1
-
     # -- packet handling -----------------------------------------------------
 
     def _fallback(self, req) -> int:
@@ -449,11 +450,7 @@ class Switch:
                 pair[1] += 1  # the tracked minimum just received one more
         elif self._proactive:
             self.loads[req.tag][dst] += 1
-        self.dispatch_hist[dst] += 1
-        if self.deliveries is not None:
-            self._trace(req.req_id, dst)
-            d = self.class_dispatch[req.tag]
-            d[dst] = d.get(dst, 0) + 1
+        self.dispatched[req.tag][dst] += 1
         return dst
 
     def route_reqr(self, req):
@@ -472,8 +469,8 @@ class Switch:
             self.fallback_read += 1
             req.fallback = True
             dst = self._fallback(req)
-        if self.deliveries is not None:
-            self._trace(rid, dst)
+            if self.reqtable.purged.get(rid, dst) != dst:
+                self.affinity_violations += 1
         return dst
 
     def note_rep(self, req, src: int, load_report: float, final: bool, now: float):

@@ -45,8 +45,9 @@ def cached_point(point_cache):
 
 
 def run_traced(exp: ExperimentConfig, variant: str, load: float, seed: int):
-    """Run one point with affinity tracing; returns (record, RackRun)."""
+    """Run one point; returns (record, RackRun), whose switch holds the
+    affinity and per-class dispatch counters."""
     spec = exp.build_runspec(variant, load, seed)
-    rr = RackRun(spec, trace_affinity=True)
+    rr = RackRun(spec)
     rec = rr.run()
     return rec, rr

@@ -62,17 +62,39 @@ def _replay_server(jobs, n_workers, discipline, slice_us):
     return done
 
 
+def _fewest_outstanding(per_server, t, n_workers, discipline, slice_us):
+    """The server with the fewest requests outstanding at the switch at t,
+    lowest index on ties: each request dispatched so far counts until its
+    reply is collected, which is when the server completes it. A server's
+    completions before t depend only on requests that reached it before t,
+    and every request already dispatched is in `per_server`, so a replay of
+    each server's requests so far gives them."""
+    counts = []
+    for jobs in per_server:
+        done = _replay_server(jobs, n_workers, discipline, slice_us).values()
+        if any(abs(c - t) < 1e-9 for c in done):
+            raise TieCollision   # a reply and a dispatch at one instant
+        counts.append(sum(1 for c in done if c > t))
+    return counts.index(min(counts))
+
+
 def brute_force(arrivals, services, n_servers, n_workers, discipline,
-                slice_us=25.0):
-    """Completion time per request for round-robin dispatch over the servers
-    (first request to server 0) and the given intra-server discipline.
+                slice_us=25.0, shortest=False):
+    """Completion time per request for the given intra-server discipline and
+    round-robin dispatch over the servers (first request to server 0), or
+    with `shortest`, dispatch to the server with the fewest requests
+    outstanding at the switch.
 
     arrivals are switch-arrival times, strictly increasing; the executor adds
     the fixed forwarding delay itself.
     """
     per_server = [[] for _ in range(n_servers)]
     for idx, (t, s) in enumerate(zip(arrivals, services)):
-        per_server[idx % n_servers].append((t + FWD_US, idx, s))
+        dst = idx % n_servers
+        if shortest:
+            dst = _fewest_outstanding(per_server, t, n_workers, discipline,
+                                      slice_us)
+        per_server[dst].append((t + FWD_US, idx, s))
     out = {}
     for jobs in per_server:
         out.update(_replay_server(jobs, n_workers, discipline, slice_us))

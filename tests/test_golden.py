@@ -8,14 +8,24 @@ CSV formatting shows up as a changed hash, so a speed-only or refactoring
 change must leave this test passing as it stands. Regenerate the hashes
 (run this file as a script) only in a change whose purpose is to alter
 behaviour, and say so in CHANGES.md.
+
+The module imports without pytest, so an interpreter that lacks it checks
+the table too: `PYTHONPATH=src python tests/test_golden.py --check` prints
+each mismatch and exits 1 if there is any.
 """
 
 import hashlib
 import json
 import pathlib
 import sys
+import tempfile
 
-import pytest
+try:
+    from pytest import mark
+    parametrize = mark.parametrize
+except ImportError:
+    def parametrize(*_):
+        return lambda test: test
 
 from racksim.config import ExperimentConfig
 from racksim.runner import run_experiment
@@ -139,16 +149,36 @@ def test_every_shipped_config_has_golden_hashes():
     assert sorted(GOLDEN) == shipped()
 
 
-@pytest.mark.parametrize("name", shipped())
+@parametrize("name", shipped())
 def test_csv_bytes_match_golden(name, tmp_path):
     assert csv_hashes(name, tmp_path) == GOLDEN[name]
 
 
-if __name__ == "__main__":
-    import tempfile
-
+def recompute() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        table = {name: csv_hashes(name, pathlib.Path(tmp) / name)
-                 for name in shipped()}
-    json.dump(table, sys.stdout, indent=4, sort_keys=True)
+        return {name: csv_hashes(name, pathlib.Path(tmp) / name)
+                for name in shipped()}
+
+
+def check() -> int:
+    """Print every CSV whose hash differs from `GOLDEN`, or is missing from
+    one side; returns the exit status."""
+    table = recompute()
+    bad = 0
+    for name in sorted(set(table) | set(GOLDEN)):
+        got, want = table.get(name, {}), GOLDEN.get(name, {})
+        for csv in sorted(set(got) | set(want)):
+            if got.get(csv) != want.get(csv):
+                print(f"MISMATCH {name}/{csv}: got {got.get(csv)}, "
+                      f"golden {want.get(csv)}")
+                bad += 1
+    print(f"{bad} mismatches over {len(table)} configs, "
+          f"Python {sys.version.split()[0]}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    json.dump(recompute(), sys.stdout, indent=4, sort_keys=True)
     print()

@@ -14,9 +14,10 @@ from oracle_small import FWD_US, TieCollision, brute_force
 
 
 def run_sim(arrivals, services, n_servers, n_workers, intra, slice_us,
-            threshold=None):
+            threshold=None, shortest=False):
     """Scripted arrivals through the real switch and servers; returns the
-    server-side completion time per request."""
+    server-side completion time per request. The switch runs round robin,
+    or with `shortest`, the exact minimum over proactive counts."""
     sim = EventLoop()
     done = {}
 
@@ -24,12 +25,15 @@ def run_sim(arrivals, services, n_servers, n_workers, intra, slice_us,
         fn(now, arg)    # no hop: a reply is collected when it is sent
 
     def on_reply(now, arg):
-        done[arg[0].req_id] = now
+        req, src, load, final = arg
+        done[req.req_id] = now
+        switch.note_rep(req, src, load, final, now)
 
     table = ReqTable(2, 64, [11, 22], ttl_us=math.inf)
+    policy, tracking = ("shortest", "proactive") if shortest else ("rr", "int1")
     switch = Switch(
         n_servers, 1, [list(range(n_servers))], [True] * n_servers,
-        make_policy("rr", 1, 0), "int1", table,
+        make_policy(policy, 1, 0), tracking, table,
         random.Random(1), random.Random(2), fallback_salt=999)
     servers = [
         Server(s, n_workers, intra, sim, reply, on_reply, switch.mark_dropped,
@@ -76,8 +80,8 @@ def make_case(seed):
     return arrivals, services, n_servers, n_workers, intra, slice_us, threshold
 
 
-def compare_case(seed):
-    """Returns "skip" on a tie collision, else asserts exact agreement.
+def expected(seed, shortest=False):
+    """The brute-force completion times of a case; raises TieCollision.
     cfcfs with a threshold is the brute-force ps replay sliced at the
     threshold: both requeue an unfinished request at the tail."""
     (arrivals, services, n_servers, n_workers, intra, slice_us,
@@ -86,17 +90,24 @@ def compare_case(seed):
         discipline, quantum = "ps", threshold
     else:
         discipline, quantum = ("ps" if intra == "ps" else "fcfs"), slice_us
+    return brute_force(arrivals, services, n_servers, n_workers, discipline,
+                       quantum, shortest)
+
+
+def compare_case(seed, shortest=False):
+    """Returns "skip" on a tie collision, else asserts exact agreement."""
+    (arrivals, services, n_servers, n_workers, intra, slice_us,
+     threshold) = make_case(seed)
     try:
-        expect = brute_force(arrivals, services, n_servers, n_workers,
-                             discipline, quantum)
+        expect = expected(seed, shortest)
     except TieCollision:
         return "skip"
     got = run_sim(arrivals, services, n_servers, n_workers, intra, slice_us,
-                  threshold)
+                  threshold, shortest)
     assert got == pytest.approx(expect, abs=1e-9), (
         f"seed {seed}: {list(zip(arrivals, services))} "
         f"servers={n_servers} workers={n_workers} {intra}/{slice_us} "
-        f"threshold={threshold}")
+        f"threshold={threshold} shortest={shortest}")
     return "ok"
 
 
@@ -127,6 +138,28 @@ def test_wide_cases_match_brute_force(monkeypatch):
     assert most[0] >= 2
 
 
+@pytest.mark.parametrize("seeds,departures", [(range(120), 5),
+                                               (WIDE_SEEDS, 15)],
+                         ids=["narrow", "wide"])
+def test_shortest_over_proactive_counts_matches_brute_force(seeds, departures):
+    """Exact shortest over the switch's proactive counts against the
+    oracle's own count of requests outstanding per server. On two servers
+    it must depart from round robin in some cases (7 of the narrow ones and
+    17 of the wide), or the cases would show nothing round robin does not."""
+    results = {seed: compare_case(seed, shortest=True) for seed in seeds}
+    ok = [seed for seed, r in results.items() if r == "ok"]
+    assert len(ok) >= 2 * len(seeds) // 3, (
+        f"too many tie-skipped cases: {len(results) - len(ok)}")
+    assert {make_case(seed)[4] for seed in ok} == {"cfcfs", "ps"}
+    departs = 0
+    for seed in ok:
+        try:
+            departs += expected(seed) != expected(seed, shortest=True)
+        except TieCollision:
+            pass
+    assert departs >= departures
+
+
 def test_hand_traced_ps_slice():
     # one worker, slice 25, both jobs two slices long; they interleave:
     # [3,28]A [28,53]B [53,78]A [78,103]B
@@ -145,3 +178,17 @@ def test_hand_traced_fcfs_two_workers():
     assert got[0] == a0 + 30.0
     assert got[1] == a1 + 10.0
     assert got[2] == a1 + 10.0 + 5.0  # starts when the 10us job frees a worker
+
+
+def test_hand_traced_shortest_counts_requests_not_work():
+    # counts [1, 0] send the second request to server 1; at 3 us neither
+    # has replied, so the tie [1, 1] sends the third to server 0, behind
+    # the 100 us request, though server 1 frees first. (On identical
+    # servers, ties to the highest index would mirror the whole schedule
+    # and give the same times, so no completion time shows the tie rule.)
+    arrivals = [1.0, 2.0, 3.0]
+    services = [100.0, 10.0, 5.0]
+    expect = [103.0, 14.0, 108.0]
+    assert brute_force(arrivals, services, 2, 1, "fcfs", shortest=True) == expect
+    assert run_sim(arrivals, services, 2, 1, "cfcfs", 25.0,
+                   shortest=True) == expect

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racksim.baselines import ClientView
+from racksim.baselines import ClientView, hash_pick
 from racksim.switchsim import (
     INT1, INT3, PROACTIVE, ReqTable, Switch, make_policy, stage_cost)
 from racksim.workload import Group, Request
@@ -126,6 +126,18 @@ class TestReqTable:
         t.clear()
         assert t.occupancy == 0
         assert all(t.read(rid) == -1 for rid in range(1, 20))
+
+    def test_purges_and_clear_remember_the_mapping_remove_does_not(self):
+        t = ReqTable(1, 64, [1], ttl_us=100.0)
+        for rid, srv, now in ((1, 0, 0.0), (2, 1, 90.0), (3, 2, 90.0),
+                              (4, 3, 90.0), (5, 3, 90.0)):
+            t.place(rid, srv, now)
+        t.remove(5)
+        t.purge_stale(now=150.0)
+        t.purge_server(1)
+        assert t.purged == {1: 0, 2: 1}
+        t.clear()
+        assert t.purged == {1: 0, 2: 1, 3: 2, 4: 3}
 
     def test_purged_slot_is_reused(self):
         t = ReqTable(2, 1, [7, 8], ttl_us=100.0)
@@ -401,7 +413,6 @@ class TestRouting:
         sw = make_switch("shortest", stages=1, slots=1, n=4)
         sw.route_reqf(make_req(1), 0.0)
         # find a request whose fallback hash lands on server 2, then fail it
-        from racksim.baselines import hash_pick
         rid = next(r for r in range(2, 500)
                    if hash_pick(r, [0, 1, 2, 3], sw.fallback_salt) == 2)
         sw.set_active(2, False, 0.0)
@@ -664,9 +675,18 @@ class TestFaults:
         assert sw.dropped_requests == 1 and not sw.stalled
 
 
+def _ids_by_fallback(sw):
+    """Request ids 1..499 grouped by the server, of two, their fallback hash
+    picks."""
+    by = {0: [], 1: []}
+    for r in range(1, 500):
+        by[hash_pick(r, [0, 1], sw.fallback_salt)].append(r)
+    return by
+
+
 class TestAffinityTrace:
     def test_consistent_delivery_counts_no_violation(self):
-        sw = make_switch("shortest", trace_affinity=True)
+        sw = make_switch("shortest")
         req = make_req(1, packets=3)
         sw.route_reqf(req, 0.0)
         sw.route_reqr(req)
@@ -674,20 +694,59 @@ class TestAffinityTrace:
         assert sw.affinity_violations == 0
 
     def test_split_delivery_detected(self):
-        from racksim.baselines import hash_pick
-        sw = make_switch("rr", n=2, trace_affinity=True)
+        sw = make_switch("rr", n=2)
         # round-robin sends the first request to server 0; pick an id whose
         # fallback hash lands on server 1, then lose the mapping
-        rid = next(r for r in range(1, 500)
-                   if hash_pick(r, [0, 1], sw.fallback_salt) == 1)
+        rid = _ids_by_fallback(sw)[1][0]
         req = make_req(rid)
         assert sw.route_reqf(req, 0.0) == 0
-        sw.reqtable.remove(rid)  # simulates TTL purge of a live mapping
+        sw.reqtable.purge_server(0)  # the unplanned-removal purge
         assert sw.route_reqr(req) == 1
         assert sw.affinity_violations == 1
 
+    def test_recover_counts_a_follow_on_that_leaves_the_old_server(self):
+        # a recovered switch has lost every live mapping; a follow-on whose
+        # fallback hash leaves the request's server is one violation, one
+        # whose hash lands there is none
+        sw = make_switch("rr", n=2)
+        stays, leaves = (make_req(rid, packets=3)
+                         for rid in _ids_by_fallback(sw)[0][:2])
+        assert sw.route_reqf(stays, 0.0) == 0
+        assert sw.route_reqf(leaves, 0.0) == 1
+        sw.fail()
+        sw.recover()
+        for _ in range(2):
+            assert sw.route_reqr(stays) == 0
+        assert sw.affinity_violations == 0
+        assert sw.route_reqr(leaves) == 0
+        assert sw.affinity_violations == 1
+
+    def test_table_full_fallback_counts_no_violation(self):
+        # no slot: the first packet goes to its fallback hash target, and so
+        # does every follow-on, whatever the policy picked
+        sw = make_switch("rr", n=2, stages=1, slots=1)
+        assert sw.route_reqf(make_req(1000), 0.0) == 0    # takes the slot
+        by = _ids_by_fallback(sw)
+        for target, picked in ((0, 1), (1, 0)):  # rr picks 1, then 0
+            req = make_req(by[target][0], packets=3)
+            assert sw.route_reqf(req, 0.0) == target != picked
+            assert req.fallback
+            assert [sw.route_reqr(req) for _ in range(2)] == [target] * 2
+        assert sw.fallback_insert == 2 and sw.fallback_read == 4
+        assert sw.affinity_violations == 0
+
+    def test_dispatch_hist_is_the_column_sums_of_the_class_counts(self):
+        sw = make_switch("rr", n=3)
+        for r in range(1, 6):
+            sw.route_reqf(make_req(r, tag=r % 2), 0.0)
+        before = sw.dispatch_hist
+        assert before == [sum(d.get(s, 0) for d in sw.class_dispatch)
+                          for s in range(3)] == [2, 2, 1]
+        sw.route_reqf(make_req(6, tag=1), 0.0)
+        assert before == [2, 2, 1] and sw.dispatch_hist == [3, 2, 1]
+
     def test_class_dispatch_counts(self):
-        sw = make_switch("rr", trace_affinity=True)
+        sw = make_switch("rr")
         for r in range(1, 7):
             sw.route_reqf(make_req(r, tag=r % 2), 0.0)
         assert sum(sw.class_dispatch[0].values()) == 3
