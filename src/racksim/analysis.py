@@ -338,10 +338,9 @@ class MetricsRecord:
         return order_stats(self.samples, (0.99,))[1][0]
 
     def pooled_mean(self) -> float:
-        n = sum(len(s) for s in self.samples)
-        if n == 0:
+        if not any(self.samples):
             return float("nan")
-        return sum(sum(s) for s in self.samples) / n
+        return order_stats(self.samples, ())[0]
 
     def waiting_tail_fractions(self, n_max: int) -> list:
         """Empirical [x_0..x_n_max]: fraction of census ticks with >= n waiting."""

@@ -1,8 +1,8 @@
 """Dispatch helpers shared by the switch and the client-based baseline: the
-hash pick, the per-client stale view that runs a sampling policy's `select`
-at the clients, and `ClientPolicy`, the switch policy through which
-client-based dispatch runs: the switch forwards each first packet to the
-server its client picked, and routes and tracks it like any other request.
+hash pick, and `ClientView`, the per-client stale view that runs a sampling
+policy's `select` at the clients. `switchsim.ClientPolicy` holds one view
+per client: the switch forwards each first packet to the server its client
+picked, and routes and tracks it like any other request.
 """
 
 from __future__ import annotations
@@ -43,17 +43,3 @@ class ClientView:
         """A reply to this client carried the server's piggybacked load."""
         self.estimates[server] = load_report
 
-
-class ClientPolicy:
-    """Client-based dispatch as a switch policy: the request's client picks
-    over its own view, drawing from `rnd`, and `loads` go unread. The runner
-    hands each reply's load report to the client's view."""
-
-    uses_outstanding = False
-    tracks_pair = False
-
-    def __init__(self, n_servers: int, clients: int, select):
-        self.views = [ClientView(n_servers, select) for _ in range(clients)]
-
-    def select(self, loads, elig, rnd, req):
-        return self.views[req.client].choose(elig, rnd)

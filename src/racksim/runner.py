@@ -2,7 +2,8 @@
 servers into one event loop and measures the result.
 
 There is one packet path whatever the policy: client-based dispatch is the
-switch policy `baselines.ClientPolicy`. The hot path is deliberately flat.
+switch policy `switchsim.ClientPolicy`, built by `make_policy` as every
+policy is. The hot path is deliberately flat.
 One event fires per first-packet at its switch-arrival time; that handler
 draws the next arrival for the same client, creates the request, and routes
 it, so a single-packet request costs four events end to end (send, server
@@ -14,7 +15,8 @@ completion is recorded at the reply's switch-arrival event rather than with
 a fifth event. Client-based dispatch adds that fifth event only to update
 the client's view when the reply reaches it. Load and mix changes act at
 their `at_us` as a send time, other timeline events at the switch; switch
-and server faults act under every policy but the pooled global baselines.
+and server faults act under every policy but the pooled global baselines;
+a failed server drops what it holds through the switch's `mark_dropped`.
 Each edge of a class's start/stop window is a mix change with no new
 weights, scheduled as a `set_mix` event is.
 """
@@ -30,11 +32,10 @@ from math import log
 
 from . import __version__
 from .analysis import MetricsRecord
-from .baselines import ClientPolicy
 from .config import ExperimentConfig, RunSpec
 from .engine import EventLoop, RngStreams
 from .server import Server
-from .switchsim import ReqTable, SamplingPolicy, Switch, make_policy
+from .switchsim import ReqTable, Switch, make_policy
 from .workload import RequestFactory
 
 
@@ -83,16 +84,11 @@ class RackRun:
         salts = [rnd_h.getrandbits(61) for _ in range(exp.rt_stages)]
         policy_salt = rnd_h.getrandbits(61)
         fallback_salt = rnd_h.getrandbits(61)
-        table = ReqTable(exp.rt_stages, exp.rt_slots, salts,
-                         ttl_us=exp.rt_ttl_us)
-        self.views = None       # the clients' views, under client dispatch
-        if v.policy == "client":
-            policy = ClientPolicy(v.n_servers, v.clients,
-                                  SamplingPolicy(v.k).select)
-            self.views = policy.views
-        else:
-            policy = make_policy(v.policy, n_classes, policy_salt, k=v.k,
-                                 bound=v.bound)
+        table = ReqTable(exp.rt_slots, salts, ttl_us=exp.rt_ttl_us)
+        policy = make_policy(v.policy, n_classes, policy_salt, k=v.k,
+                             bound=v.bound, n_servers=v.n_servers,
+                             clients=v.clients)
+        self.views = policy.views   # the clients' views, under client dispatch
         # the servers report as `v.tracking` says; the switch changes its own
         # copy of the active flags
         self.switch = Switch(
@@ -236,8 +232,7 @@ class RackRun:
             sid = ev["server"]
             self.switch.set_active(sid, False, now)
             if not ev["planned"]:
-                for req in self.servers[sid].fail():
-                    self.switch.mark_dropped(req)
+                self.servers[sid].fail()
                 self.sim.schedule(now + ev["purge_delay_us"], self._ev_purge, sid)
         elif kind == "set_load":
             self._rate_pc = (ev["load"] * self.exp.capacity_rps / 1e6

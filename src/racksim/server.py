@@ -18,9 +18,11 @@ void). A token is the event's only argument: tokens of worker `wid` are
 congruent to `wid` modulo the worker count, so the token also names its
 worker. A reply goes out through the server-to-switch push and handler the
 server is given at construction, as `reply(now, on_reply, (req, sid, load,
-final))`, and a packet that reaches a failed server goes to the drop sink it
-is given with them, so the server never needs to know about network delays
-or the switch.
+final))`, and each request a failure loses, or a packet that reaches a
+failed server, goes to the drop sink it is given with them, so the server
+never needs to know about network delays or the switch.
+A multi-packet request waits in `partial` for its last packet; the server
+that takes it also clears the entry of a server that took the first.
 
 One timer per uninterrupted run. A sliced request whose worker finds nothing
 else queued at a slice end is handed straight back to the same worker, so
@@ -73,7 +75,7 @@ class Server:
         self.sim = sim
         self.reply = reply          # push(now, fn, arg) toward the switch
         self.on_reply = on_reply    # the handler each reply fires there
-        self.drop_sink = drop_sink  # takes each packet lost to a failure
+        self.drop_sink = drop_sink  # takes each request lost to a failure
         self.n_classes = n_classes
         self.cap = preempt_threshold_us if to_threshold else slice_us
         self.ctx_us = ctx_switch_us
@@ -81,7 +83,6 @@ class Server:
         self.int3 = tracking == INT3
         self._coalesce = (self.cap is not None and not self.int3
                           and key in (None, "tag"))
-        self._runs = 0          # coalesced runs started since the last cut
         # a busy arrival preempts running lower-priority work
         self._preempts = key == "priority"
         # An idle worker implies empty queues, so an arrival that finds one
@@ -90,15 +91,12 @@ class Server:
         self._credit = key == "client"
 
         self.on_packet, self._timer = self.on_packet, self._on_worker  # bound once
-        self.w_req: list = [None] * n_workers
         self.w_start = [0.0] * n_workers
         # quantum of the running slice; above the cap, a coalesced run, whose
         # quantum is the request's whole remaining service
         self.w_q = [0.0] * n_workers
         self.w_token = list(range(n_workers))    # token % n_workers == wid
         self.w_last: list = [None] * n_workers
-        self.idle = list(range(n_workers - 1, -1, -1))
-        self.busy = 0
 
         # key value -> queue, in the order a pick scans them
         if key is None:
@@ -123,11 +121,21 @@ class Server:
             self._key = attrgetter(key)
             self._push = self._push_keyed
 
-        self.outstanding = [0] * n_classes      # queued + running, per class
-        self.rem_sum = [0.0] * n_classes        # remaining service, per class (int3)
-        self.in_system = 0                      # queued + running
+        self._empty()
         self.failed = False
-        self.partial: dict = {}                 # multi-packet reassembly
+
+    def _empty(self) -> None:
+        """No request queued, running or partly arrived."""
+        for q in self._queues.values():
+            q.clear()
+        self.w_req: list = [None] * self.n_workers
+        self.idle = list(range(self.n_workers - 1, -1, -1))
+        self.busy = 0
+        self.in_system = 0                          # queued + running
+        self.outstanding = [0] * self.n_classes     # queued + running, per class
+        self.rem_sum = [0.0] * self.n_classes       # remaining service, per class (int3)
+        self._runs = 0          # coalesced runs started since the last cut
+        self.partial: dict = {}                     # multi-packet reassembly
 
     # -- packet arrival --------------------------------------------------------
 
@@ -143,9 +151,13 @@ class Server:
             left = req.pkts_pending - 1
             req.pkts_pending = left
             if left > 0:
+                if left == req.packets - 1:
+                    req.held_by = self
                 self.partial[req.req_id] = req
                 return
             self.partial.pop(req.req_id, None)
+            if req.held_by is not self:     # its packets split across servers
+                req.held_by.partial.pop(req.req_id, None)
         tag = req.tag
         self.outstanding[tag] += 1
         if self.int3:
@@ -358,25 +370,14 @@ class Server:
 
     # -- faults ------------------------------------------------------------------
 
-    def fail(self) -> list:
+    def fail(self) -> None:
         """Unplanned removal: every queued, running, and partially-arrived
-        request is lost unless it completed elsewhere; returns the lost ones."""
-        lost = []
-        for q in self._queues.values():
-            lost.extend(q)
-            q.clear()
-        for wid in range(self.n_workers):
-            if self.w_req[wid] is not None:
-                lost.append(self.w_req[wid])
-                self.w_req[wid] = None
-            self.w_token[wid] += self.n_workers
-        lost.extend(r for r in self.partial.values() if r.pkts_pending)
-        self.partial.clear()
-        self.idle = list(range(self.n_workers - 1, -1, -1))
-        self.busy = 0
-        self.in_system = 0
-        self.outstanding = [0] * self.n_classes
-        self.rem_sum = [0.0] * self.n_classes
-        self._runs = 0
+        request is lost to the drop sink, and every pending timer goes
+        stale."""
+        for held in (*self._queues.values(), self.w_req, self.partial.values()):
+            for req in held:
+                if req is not None:
+                    self.drop_sink(req)
+        self.w_token = [t + self.n_workers for t in self.w_token]
+        self._empty()
         self.failed = True
-        return lost

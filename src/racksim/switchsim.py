@@ -18,11 +18,11 @@ hash routing over the *physical* membership of the request's locality set so
 that every packet of a request still reaches one server.
 Every run counts dispatches per (class, server), and affinity violations:
 fallbacks off the server of a purged or cleared mapping (`ReqTable.purged`).
-Each policy's `select` is its chooser, called once per dispatch. Every
-request passes through the switch whatever the policy: client-based
-dispatch is the policy `baselines.ClientPolicy`, whose `select` returns the
-server the request's client picked with `SamplingPolicy.select` over its
-own view (`baselines.ClientView`).
+Each policy's `select` is its chooser, called once per dispatch, and
+`make_policy` builds every kind. Every request passes through the switch
+whatever the policy: client-based dispatch is `ClientPolicy`, whose `select`
+returns the server the request's client picked with `SamplingPolicy.select`
+over its own view (`baselines.ClientView`).
 The request table is keyed by req_id, so a read or remove needs no probe.
 
 Per-stage hashes use CPython's built-in tuple hashing (ints are not salted by
@@ -34,7 +34,7 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 
-from .baselines import hash_pick
+from .baselines import ClientView, hash_pick
 from .engine import SimulationError
 
 # load tracking mechanisms; int2's tracked pair is a policy of its own
@@ -75,7 +75,7 @@ def stage_cost(kind: str, n_servers: int, k: int = 0) -> int:
 
 
 class ReqTable:
-    """Multi-stage hash table mapping req_id -> server.
+    """Multi-stage hash table mapping req_id -> server, one stage per salt.
 
     Insert probes each stage at that stage's hash of req_id and takes the
     first empty slot; a request whose probes are all occupied is not stored
@@ -94,10 +94,7 @@ class ReqTable:
 
     __slots__ = ("slots_per_stage", "salts", "ttl_us", "purged", "_live", "_used")
 
-    def __init__(self, stages: int, slots_per_stage: int, salts: list[int],
-                 ttl_us: float):
-        if len(salts) != stages:
-            raise SimulationError("one hash salt per stage required")
+    def __init__(self, slots_per_stage: int, salts: list[int], ttl_us: float):
         self.slots_per_stage = slots_per_stage
         self.salts = salts
         self.ttl_us = ttl_us
@@ -164,10 +161,12 @@ class ReqTable:
 class Policy:
     """What a policy's load rows hold: by default the tracked counters,
     indexed by server; JBSQ's one shared row of outstanding counts, or
-    int2's (server, minimum) pair per class."""
+    int2's (server, minimum) pair per class. `views` are the clients' own
+    load views, which only client-based dispatch keeps."""
 
     uses_outstanding = False
     tracks_pair = False
+    views = None
 
 
 class RandomPolicy(Policy):
@@ -287,9 +286,23 @@ class Int2Policy(Policy):
         return pair[0] if pair[0] in elig else elig[0]
 
 
-def make_policy(kind: str, n_classes: int, salt: int, k: int = 2, bound: int = 3):
-    """`shortest` is sampling with every eligible server a candidate: the
-    exact minimum, lowest index on ties."""
+class ClientPolicy(Policy):
+    """Client-based dispatch: the request's client picks by power-of-k
+    sampling over its own view, which the runner hands each reply's load
+    report; `loads` go unread."""
+
+    def __init__(self, k: int, n_servers: int, clients: int):
+        select = SamplingPolicy(k).select
+        self.views = [ClientView(n_servers, select) for _ in range(clients)]
+
+    def select(self, loads, elig, rnd, req):
+        return self.views[req.client].choose(elig, rnd)
+
+
+def make_policy(kind: str, n_classes: int, salt: int, k: int = 2, bound: int = 3,
+                n_servers: int = 0, clients: int = 0):
+    """Every kind the switch runs. `shortest` is sampling with every
+    eligible server a candidate: the exact minimum, lowest index on ties."""
     if kind == "random":
         return RandomPolicy()
     if kind == "hash":
@@ -304,6 +317,8 @@ def make_policy(kind: str, n_classes: int, salt: int, k: int = 2, bound: int = 3
         return JBSQPolicy(bound)
     if kind == "int2":
         return Int2Policy()
+    if kind == "client":
+        return ClientPolicy(k, n_servers, clients)
     raise ValueError(f"unknown policy kind {kind!r}")
 
 

@@ -164,3 +164,26 @@ def test_switch_counters_match_the_packets_the_servers_saw(raw):
     if not sw.reqtable.purged:
         assert split == 0
     assert all(hist == sums for hist, sums in readds)
+
+
+def test_no_reassembly_entry_outlives_its_request():
+    """3-packet requests 30 us apart under a 0.05 ms TTL: purges split many
+    across two servers, and the server that took a request's last packet
+    completes it. Each such split once left the request in the `partial`
+    of the server that took its first packet, whole and never cleared."""
+    raw = {"name": "split", "servers": {"count": 4, "workers": 2},
+           "workload": {"inter_packet_gap_us": 30.0,
+                        "classes": [{"tag": "c0", "packets": 3,
+                                     "service": {"kind": "exponential",
+                                                 "mean_us": MEAN_US}}]},
+           "reqtable": {"ttl_ms": 0.05},
+           "policy": {"kind": "random"},
+           "sweep": {"loads": [LOAD], "seeds": [1],
+                     "requests_per_point": 5000}}
+    exp = ExperimentConfig.from_dict(raw)
+    rr = RackRun(exp.build_runspec("default", LOAD, 1))
+    rec = rr.run()
+    assert rr.switch.affinity_violations > 1000
+    assert rec.injected == rec.completed
+    assert all(req.pkts_pending > 0
+               for srv in rr.servers for req in srv.partial.values())

@@ -283,7 +283,17 @@ def assert_matches_reference(per_class):
         assert s.mean_us == mean
         assert [s.p50_us, s.p99_us, s.p999_us] == quantiles
     pooled = [x for xs in per_class for x in xs]
-    assert rec.pooled_p99() == reference(pooled, (0.99,))[1][0]
+    mean, (p99,) = reference(pooled, (0.99,))
+    assert rec.pooled_p99() == p99 and rec.pooled_mean() == mean
+
+
+def test_pooled_mean_is_the_ascending_fold_over_every_class():
+    # ten 0.1 samples fold to 0.9999999999999999, not the 1.0 that a
+    # compensated sum gives, and the mean is that fold over ten
+    per_class = [[0.1] * 4, [], [0.1] * 6]
+    rec = record(per_class)
+    assert rec.pooled_mean() == reference([0.1] * 10, ())[0]
+    assert rec.pooled_mean() == 0.9999999999999999 / 10
 
 
 def exp_like(n, seed):

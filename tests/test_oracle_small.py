@@ -29,7 +29,7 @@ def run_sim(arrivals, services, n_servers, n_workers, intra, slice_us,
         done[req.req_id] = now
         switch.note_rep(req, src, load, final, now)
 
-    table = ReqTable(2, 64, [11, 22], ttl_us=math.inf)
+    table = ReqTable(64, [11, 22], ttl_us=math.inf)
     policy, tracking = ("shortest", "proactive") if shortest else ("rr", "int1")
     switch = Switch(
         n_servers, 1, [list(range(n_servers))], [True] * n_servers,

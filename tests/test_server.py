@@ -334,6 +334,21 @@ def test_multi_packet_request_enqueues_after_last_packet():
     assert h.run() and h.times() == [(1, 13.0)]
 
 
+def test_split_request_leaves_no_entry_where_it_began():
+    # the first packet reaches server 0 and the other two server 1, as when
+    # the switch loses the mapping between them; server 1 completes it
+    a = Harness("cfcfs")
+    b = Server(1, 1, "cfcfs", a.sim, a._reply, a._on_reply, a.dropped.append)
+    req = make_req(1, 10.0, 0.0, packets=3)
+    a.send(req, at=0.0)
+    a.sim.schedule(1.0, b.on_packet, req)
+    a.sim.run_until(1.5)
+    assert a.server.partial == {1: req} and b.partial == {1: req}
+    a.sim.schedule(2.0, b.on_packet, req)
+    assert a.run() and a.times() == [(1, 12.0)]
+    assert a.server.partial == {} and b.partial == {}
+
+
 def test_group_reply_final_only_on_last_member():
     h = Harness("cfcfs", n_workers=2)
     g = Group(2)
@@ -347,22 +362,22 @@ def test_group_reply_final_only_on_last_member():
 # -- failure ---------------------------------------------------------------------------
 
 
-def test_fail_returns_all_resident_requests():
+def test_fail_drops_all_resident_requests():
     h = Harness("cfcfs")
     partial = make_req(9, 10.0, 0.0, packets=2)
     h.send(make_req(1, 50.0, 0.0))
     h.send(make_req(2, 10.0, 0.0))
     h.send(partial, at=0.0)
     h.sim.run_until(5.0)
-    lost = h.server.fail()
-    assert sorted(r.req_id for r in lost) == [1, 2, 9]
+    assert h.server.fail() is None
+    assert sorted(r.req_id for r in h.dropped) == [1, 2, 9]
     assert h.server.in_system == 0 and h.server.busy == 0
+    assert h.server.partial == {}
 
-    dropped = []
-    h.server.drop_sink = dropped.append
+    h.dropped.clear()
     h.server.on_packet(6.0, make_req(3, 5.0, 6.0))
     h.sim.run_until(1e9)
-    assert [r.req_id for r in dropped] == [3] and h.done == []
+    assert [r.req_id for r in h.dropped] == [3] and h.done == []
 
 
 def test_pending_timers_are_void_after_fail():

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racksim.baselines import ClientView, hash_pick
+from racksim.config import GLOBAL_BASELINES, VARIANT_KEYS
 from racksim.switchsim import (
-    INT1, INT3, PROACTIVE, ReqTable, Switch, make_policy, stage_cost)
+    INT1, INT3, PROACTIVE, Policy, ReqTable, Switch, make_policy, stage_cost)
 from racksim.workload import Group, Request
 
 
@@ -31,8 +32,7 @@ def make_req(rid, tag=0, locality=0, packets=1, service=10.0, arrival=0.0):
 def make_switch(policy_kind="shortest", tracking=INT1, n=4, k=2, bound=2,
                 stages=2, slots=64, ttl_us=math.inf, n_classes=2,
                 loc_sets=None, **kw):
-    table = ReqTable(stages, slots, [101 + i for i in range(stages)],
-                     ttl_us=ttl_us)
+    table = ReqTable(slots, [101 + i for i in range(stages)], ttl_us=ttl_us)
     policy = make_policy(policy_kind, n_classes, 31, k=k, bound=bound)
     return Switch(n, n_classes, loc_sets or [list(range(n))], [True] * n,
                   policy, tracking, table,
@@ -74,17 +74,17 @@ class TestStageCost:
 
 class TestReqTable:
     def test_insert_read_roundtrip(self):
-        t = ReqTable(4, 64, [1, 2, 3, 4], math.inf)
+        t = ReqTable(64, [1, 2, 3, 4], math.inf)
         assert t.place(1234, 6, now=0.0) >= 0
         assert t.read(1234) == 6
         assert t.occupancy == 1
 
     def test_absent_read(self):
-        t = ReqTable(4, 64, [1, 2, 3, 4], math.inf)
+        t = ReqTable(64, [1, 2, 3, 4], math.inf)
         assert t.read(99) == -1
 
     def test_collision_goes_to_next_stage_then_fallback(self):
-        t = ReqTable(2, 1, [7, 8], math.inf)  # every id collides at index 0
+        t = ReqTable(1, [7, 8], math.inf)  # every id collides at index 0
         assert t.place(11, 0, now=0.0) >= 0
         assert t.place(22, 1, now=0.0) >= 0
         assert t.place(33, 2, now=0.0) == -1  # both stages occupied
@@ -94,7 +94,7 @@ class TestReqTable:
         assert t.occupancy == 2
 
     def test_remove_then_read_absent_and_remove_idempotent(self):
-        t = ReqTable(2, 64, [1, 2], math.inf)
+        t = ReqTable(64, [1, 2], math.inf)
         t.place(5, 3, now=0.0)
         assert t.remove(5)
         assert t.read(5) == -1
@@ -102,7 +102,7 @@ class TestReqTable:
         assert t.occupancy == 0
 
     def test_ttl_purges_stale_entries_only(self):
-        t = ReqTable(2, 64, [1, 2], ttl_us=100.0)
+        t = ReqTable(64, [1, 2], ttl_us=100.0)
         t.place(1, 0, now=0.0)
         t.place(2, 1, now=80.0)
         assert t.purge_stale(now=150.0) == 1
@@ -110,7 +110,7 @@ class TestReqTable:
         assert t.read(2) == 1
 
     def test_purge_server_drops_only_that_server(self):
-        t = ReqTable(2, 64, [1, 2], math.inf)
+        t = ReqTable(64, [1, 2], math.inf)
         t.place(1, 0, now=0.0)
         t.place(2, 1, now=0.0)
         t.place(3, 1, now=0.0)
@@ -120,7 +120,7 @@ class TestReqTable:
         assert t.occupancy == 1
 
     def test_clear(self):
-        t = ReqTable(2, 64, [1, 2], math.inf)
+        t = ReqTable(64, [1, 2], math.inf)
         for rid in range(1, 20):
             t.place(rid, 0, now=0.0)
         t.clear()
@@ -128,7 +128,7 @@ class TestReqTable:
         assert all(t.read(rid) == -1 for rid in range(1, 20))
 
     def test_purges_and_clear_remember_the_mapping_remove_does_not(self):
-        t = ReqTable(1, 64, [1], ttl_us=100.0)
+        t = ReqTable(64, [1], ttl_us=100.0)
         for rid, srv, now in ((1, 0, 0.0), (2, 1, 90.0), (3, 2, 90.0),
                               (4, 3, 90.0), (5, 3, 90.0)):
             t.place(rid, srv, now)
@@ -140,7 +140,7 @@ class TestReqTable:
         assert t.purged == {1: 0, 2: 1, 3: 2, 4: 3}
 
     def test_purged_slot_is_reused(self):
-        t = ReqTable(2, 1, [7, 8], ttl_us=100.0)
+        t = ReqTable(1, [7, 8], ttl_us=100.0)
         a, b = t.place(11, 4, now=0.0), t.place(22, 5, now=50.0)
         assert (a, b) == (0, 1)  # stage 0, then stage 1 of a 1-slot table
         assert t.place(33, 6, now=50.0) == -1
@@ -226,7 +226,7 @@ def test_reqtable_matches_a_per_stage_reference(data):
     ttl = data.draw(st.one_of(st.just(math.inf), st.integers(1, 6)),
                     label="ttl")
     salts = [101 + 7 * i for i in range(stages)]
-    table = ReqTable(stages, slots, list(salts), ttl_us=ttl)
+    table = ReqTable(slots, list(salts), ttl_us=ttl)
     model = StageModel(stages, slots, salts, ttl)
     rids = range(1, 9)
     now = 0
@@ -263,7 +263,7 @@ def test_reqtable_memory_follows_live_mappings():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        t = ReqTable(4, 1 << 16, salts, math.inf)
+        t = ReqTable(1 << 16, salts, math.inf)
         built = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -279,6 +279,23 @@ def test_reqtable_memory_follows_live_mappings():
 
 
 class TestPolicies:
+    def test_every_switch_kind_builds_a_policy(self):
+        # the pooled baselines run `hash` at their one server
+        for kind in VARIANT_KEYS:
+            if kind not in GLOBAL_BASELINES:
+                p = make_policy(kind, 2, 0, n_servers=4, clients=3)
+                assert isinstance(p, Policy), kind
+                assert (p.views is None) == (kind != "client"), kind
+
+    def test_client_policy_picks_with_its_clients_views(self):
+        p = make_policy("client", 1, 0, k=4, n_servers=4, clients=2)
+        assert [v.estimates for v in p.views] == [[0] * 4, [0] * 4]
+        p.views[1].estimates[:] = [3, 1, 2, 5]
+        req = Request(1, 1, 0, 0, 0, 1, 10.0, 0.0)     # from client 1
+        assert p.select(None, [0, 1, 2, 3], None, req) == 1
+        assert p.views[1].estimates == [3, 2, 2, 5]
+        assert p.views[0].estimates == [0] * 4
+
     def test_shortest_tiebreak_lowest_index(self):
         p = make_policy("shortest", 1, 0)
         assert p.select([3, 1, 4, 1, 5], [0, 1, 2, 3, 4], None, make_req(1)) == 1
