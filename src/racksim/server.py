@@ -8,7 +8,9 @@ attribute there is one FIFO (cfcfs, ps); `tag` gives per-class queues served
 by earliest head arrival (mq-cfcfs, mq-ps); `priority` gives per-level
 queues served highest first, an arrival preempting lower-priority work
 (priority); `client` gives per-client queues served weighted round-robin in
-quanta (wfq).
+quanta (wfq). Every discipline hands a freed worker the pick if anything is
+queued and otherwise idles it; an arrival that finds a worker idle starts at
+once, under WFQ as a fresh turn of its client.
 
 Push (enqueue at the tail), pick (take the next request to serve), cap and
 coalescing are bound once, at construction; no discipline is compared per
@@ -22,7 +24,8 @@ final))`, and each request a failure loses, or a packet that reaches a
 failed server, goes to the drop sink it is given with them, so the server
 never needs to know about network delays or the switch.
 A multi-packet request waits in `partial` for its last packet; the server
-that takes it also clears the entry of a server that took the first.
+that takes it also clears the entry of a server that took the first, and the
+switch clears that entry when it drops the request.
 
 One timer per uninterrupted run. A sliced request whose worker finds nothing
 else queued at a slice end is handed straight back to the same worker, so
@@ -86,8 +89,9 @@ class Server:
         # a busy arrival preempts running lower-priority work
         self._preempts = key == "priority"
         # An idle worker implies empty queues, so an arrival that finds one
-        # is the only candidate and starts at once, except under WFQ, whose
-        # pick also advances the round-robin credit.
+        # is the only candidate and starts at once. Under WFQ it also starts
+        # its client's turn with zero credit: the queues emptied since the
+        # worker went idle, and that forfeited what the last turn left.
         self._credit = key == "client"
 
         self.on_packet, self._timer = self.on_packet, self._on_worker  # bound once
@@ -164,13 +168,15 @@ class Server:
             self.rem_sum[tag] += req.remaining
         self.in_system += 1
         idle = self.idle
-        if idle and not self._credit:
+        if idle:
+            if self._credit:
+                self.wfq_credit = 0
+                self._push(req)
+                req = self._pick()
             self._assign(idle.pop(), req, now)
             return
         self._push(req)
-        if idle:
-            self._dispatch(now)
-        elif self._preempts:
+        if self._preempts:
             self._maybe_preempt(req.priority, now)
         elif self._runs:
             self._cut_runs(now)
@@ -216,17 +222,6 @@ class Server:
             self.wfq_credit = 0
 
     # -- dispatch / timers -----------------------------------------------------
-
-    def _dispatch(self, now: float) -> None:
-        idle = self.idle
-        pick = self._pick
-        while idle:
-            if self.in_system == self.busy:
-                if self._credit:
-                    # a sweep that finds every queue empty forfeits the credit
-                    self.wfq_credit = 0
-                return
-            self._assign(idle.pop(), pick(), now)
 
     def _assign(self, wid: int, req, now: float) -> None:
         rem = req.remaining
@@ -312,12 +307,10 @@ class Server:
             self.reply(now, self.on_reply, (req, self.sid, load, final))
         else:
             self._push(req)
-        if self.in_system > self.busy and not self._credit:
-            self._assign(wid, self._pick(), now)    # as `_dispatch` would
+        if self.in_system > self.busy:
+            self._assign(wid, self._pick(), now)
         else:
             self.idle.append(wid)
-            if self._credit:
-                self._dispatch(now)
 
     def current_load(self, tag: int, now: float) -> float:
         """INT3's piggybacked load: remaining service microseconds of the
@@ -365,8 +358,10 @@ class Server:
         wid = token % self.n_workers
         if self.w_token[wid] != token:
             return
-        self.idle.append(wid)
-        self._dispatch(now)
+        if self.in_system > self.busy:
+            self._assign(wid, self._pick(), now)
+        else:
+            self.idle.append(wid)
 
     # -- faults ------------------------------------------------------------------
 
@@ -374,7 +369,8 @@ class Server:
         """Unplanned removal: every queued, running, and partially-arrived
         request is lost to the drop sink, and every pending timer goes
         stale."""
-        for held in (*self._queues.values(), self.w_req, self.partial.values()):
+        # a copy of `partial`: the drop sink clears a request's entry there
+        for held in (*self._queues.values(), self.w_req, list(self.partial.values())):
             for req in held:
                 if req is not None:
                     self.drop_sink(req)

@@ -365,8 +365,7 @@ class Switch:
         elif self._int2:
             self.loads = [[0, 0] for _ in range(n_classes)]  # (server, value)
         else:
-            zero = 0.0 if tracking == INT3 else 0
-            self.loads = [[zero] * n_servers for _ in range(n_classes)]
+            self.loads = [[0] * n_servers for _ in range(n_classes)]
 
         self.dispatched = [[0] * n_servers for _ in range(n_classes)]
         self.fallback_insert = 0
@@ -427,9 +426,13 @@ class Switch:
             row[:] = [0] * len(row)
 
     def mark_dropped(self, req) -> None:
+        """Count a lost request once, and clear the reassembly entry its
+        first packets made at a server."""
         if not req.dropped:
             req.dropped = True
             self.dropped_requests += 1
+            if req.packets > req.pkts_pending > 0:
+                req.held_by.partial.pop(req.req_id, None)
 
     # -- packet handling -----------------------------------------------------
 

@@ -13,12 +13,22 @@ class TieCollision(Exception):
     tie-break convention, not schedule semantics, so the case is skipped."""
 
 
-def _replay_server(jobs, n_workers, discipline, slice_us):
+def _replay_server(jobs, n_workers, discipline, slice_us, clients=None,
+                   weights=None):
     """jobs: list of (server_arrival_us, request_index, service_us) in
-    arrival order. Returns {request_index: completion_us}."""
+    arrival order. Returns {request_index: completion_us}.
+
+    wfq: `clients[request_index]` is the request's client and `weights` the
+    integer weight of each. Each client has its own FIFO, served in slice
+    quanta; a client's turn runs up to its weight in slices, and the turn
+    passes to the next client once it is spent or the client's queue is
+    empty. The rest of a turn is forfeited whenever a worker is idle and
+    every queue is empty."""
+    wfq = discipline == "wfq"
     rem = {}
     done = {}
-    queue = []                       # request indices, FIFO
+    queues = [[] for _ in weights] if wfq else [[]]   # request indices, FIFO
+    turn, left = 0, 0                # wfq: whose turn, slices left in it
     running = [None] * n_workers     # request index per busy worker
     until = [0.0] * n_workers        # quantum end per busy worker
     quantum = [0.0] * n_workers
@@ -36,7 +46,7 @@ def _replay_server(jobs, n_workers, discipline, slice_us):
         if i < len(jobs) and jobs[i][0] == t:
             idx = jobs[i][1]
             rem[idx] = jobs[i][2]
-            queue.append(idx)
+            queues[clients[idx] if wfq else 0].append(idx)
             i += 1
         else:
             w = next(w for w in range(n_workers)
@@ -47,18 +57,30 @@ def _replay_server(jobs, n_workers, discipline, slice_us):
             if rem[idx] <= 0.0:
                 done[idx] = t
             else:
-                queue.append(idx)
+                queues[clients[idx] if wfq else 0].append(idx)
         for w in range(n_workers):
-            if running[w] is None and queue:
-                idx = queue.pop(0)
+            if running[w] is None and any(queues):
+                if wfq:
+                    while not queues[turn]:
+                        turn, left = (turn + 1) % len(queues), 0
+                    if left == 0:
+                        left = weights[turn]
+                    idx = queues[turn].pop(0)
+                    left -= 1
+                    if left == 0:
+                        turn = (turn + 1) % len(queues)
+                else:
+                    idx = queues[0].pop(0)
                 r = rem[idx]
-                if discipline == "ps":
+                if discipline in ("ps", "wfq"):
                     q = r if r <= slice_us else slice_us
                 else:
                     q = r
                 running[w] = idx
                 until[w] = t + q
                 quantum[w] = q
+        if None in running and not any(queues):
+            left = 0
     return done
 
 
@@ -79,11 +101,12 @@ def _fewest_outstanding(per_server, t, n_workers, discipline, slice_us):
 
 
 def brute_force(arrivals, services, n_servers, n_workers, discipline,
-                slice_us=25.0, shortest=False):
-    """Completion time per request for the given intra-server discipline and
-    round-robin dispatch over the servers (first request to server 0), or
-    with `shortest`, dispatch to the server with the fewest requests
-    outstanding at the switch.
+                slice_us=25.0, shortest=False, clients=None, weights=None):
+    """Completion time per request for the given intra-server discipline
+    ("fcfs", "ps" or "wfq", the last with each request's client and each
+    client's weight) and round-robin dispatch over the servers (first
+    request to server 0), or with `shortest`, dispatch to the server with
+    the fewest requests outstanding at the switch.
 
     arrivals are switch-arrival times, strictly increasing; the executor adds
     the fixed forwarding delay itself.
@@ -97,5 +120,6 @@ def brute_force(arrivals, services, n_servers, n_workers, discipline,
         per_server[dst].append((t + FWD_US, idx, s))
     out = {}
     for jobs in per_server:
-        out.update(_replay_server(jobs, n_workers, discipline, slice_us))
+        out.update(_replay_server(jobs, n_workers, discipline, slice_us,
+                                  clients, weights))
     return [out[i] for i in range(len(arrivals))]

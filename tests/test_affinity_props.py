@@ -166,24 +166,39 @@ def test_switch_counters_match_the_packets_the_servers_saw(raw):
     assert all(hist == sums for hist, sums in readds)
 
 
+def three_packet_run(**raw):
+    """A 4x2 rack under `random`, 5000 3-packet requests 30 us apart at
+    load 0.7, seed 1, with the extra config keys given, run to the end."""
+    raw.update({"name": "reassembly", "servers": {"count": 4, "workers": 2},
+                "workload": {"inter_packet_gap_us": 30.0,
+                             "classes": [{"tag": "c0", "packets": 3,
+                                          "service": {"kind": "exponential",
+                                                      "mean_us": MEAN_US}}]},
+                "policy": {"kind": "random"},
+                "sweep": {"loads": [LOAD], "seeds": [1],
+                          "requests_per_point": 5000}})
+    rr = RackRun(ExperimentConfig.from_dict(raw).build_runspec("default", LOAD, 1))
+    return rr, rr.run()
+
+
 def test_no_reassembly_entry_outlives_its_request():
-    """3-packet requests 30 us apart under a 0.05 ms TTL: purges split many
-    across two servers, and the server that took a request's last packet
-    completes it. Each such split once left the request in the `partial`
-    of the server that took its first packet, whole and never cleared."""
-    raw = {"name": "split", "servers": {"count": 4, "workers": 2},
-           "workload": {"inter_packet_gap_us": 30.0,
-                        "classes": [{"tag": "c0", "packets": 3,
-                                     "service": {"kind": "exponential",
-                                                 "mean_us": MEAN_US}}]},
-           "reqtable": {"ttl_ms": 0.05},
-           "policy": {"kind": "random"},
-           "sweep": {"loads": [LOAD], "seeds": [1],
-                     "requests_per_point": 5000}}
-    exp = ExperimentConfig.from_dict(raw)
-    rr = RackRun(exp.build_runspec("default", LOAD, 1))
-    rec = rr.run()
+    """Under a 0.05 ms TTL, purges split many requests across two servers,
+    and the server that took a request's last packet completes it. Each
+    such split once left the request in the `partial` of the server that
+    took its first packet, whole and never cleared."""
+    rr, rec = three_packet_run(reqtable={"ttl_ms": 0.05})
     assert rr.switch.affinity_violations > 1000
     assert rec.injected == rec.completed
     assert all(req.pkts_pending > 0
                for srv in rr.servers for req in srv.partial.values())
+
+
+def test_no_reassembly_entry_outlives_its_dropped_request():
+    """A 500 us switch failure: a request whose first packets reached a
+    server before it and whose later ones it dropped once stayed in that
+    server's `partial` to the end."""
+    rr, rec = three_packet_run(timeline=[{"kind": "switch_fail",
+                                          "at_us": 3000.0,
+                                          "duration_us": 500.0}])
+    assert rec.dropped > 0 and rec.injected == rec.completed + rec.dropped
+    assert [req for srv in rr.servers for req in srv.partial.values()] == []

@@ -14,10 +14,11 @@ from oracle_small import FWD_US, TieCollision, brute_force
 
 
 def run_sim(arrivals, services, n_servers, n_workers, intra, slice_us,
-            threshold=None, shortest=False):
+            threshold=None, shortest=False, clients=None, weights=None):
     """Scripted arrivals through the real switch and servers; returns the
     server-side completion time per request. The switch runs round robin,
-    or with `shortest`, the exact minimum over proactive counts."""
+    or with `shortest`, the exact minimum over proactive counts. Request i
+    comes from `clients[i]` (client 0 without them); `weights` are wfq's."""
     sim = EventLoop()
     done = {}
 
@@ -37,7 +38,8 @@ def run_sim(arrivals, services, n_servers, n_workers, intra, slice_us,
         random.Random(1), random.Random(2), fallback_salt=999)
     servers = [
         Server(s, n_workers, intra, sim, reply, on_reply, switch.mark_dropped,
-               n_classes=1, slice_us=slice_us, preempt_threshold_us=threshold)
+               n_classes=1, slice_us=slice_us, preempt_threshold_us=threshold,
+               wfq_weights=weights)
         for s in range(n_servers)
     ]
 
@@ -46,7 +48,7 @@ def run_sim(arrivals, services, n_servers, n_workers, intra, slice_us,
         sim.schedule(now + FWD_US, servers[dst].on_packet, req)
 
     for i, (t, svc) in enumerate(zip(arrivals, services)):
-        req = Request(i + 1, 0, 0, 0, 0, 1, svc, t)
+        req = Request(i + 1, clients[i] if clients else 0, 0, 0, 0, 1, svc, t)
         sim.schedule(t, route, req)
 
     sim.run_until(1e9)
@@ -158,6 +160,55 @@ def test_shortest_over_proactive_counts_matches_brute_force(seeds, departures):
         except TieCollision:
             pass
     assert departs >= departures
+
+
+def make_wfq_case(seed):
+    """Up to 4 workers on 1-2 servers, 2-3 clients of weights 1-3 and up to
+    10 requests, the clients drawn per request."""
+    rnd = random.Random(seed)
+    n_servers = rnd.choice([1, 2])
+    n_workers = rnd.randint(1, 4)
+    weights = [rnd.randint(1, 3) for _ in range(rnd.randint(2, 3))]
+    slice_us = rnd.choice([7.5, 25.0])
+    n_req = rnd.randint(1, 10)
+    arrivals = []
+    t = 0.0
+    for _ in range(n_req):
+        t += round(rnd.uniform(0.5, 20.0), 1)
+        arrivals.append(t)
+    services = [round(rnd.uniform(3.0, 120.0), 1) for _ in range(n_req)]
+    clients = [rnd.randrange(len(weights)) for _ in range(n_req)]
+    return arrivals, services, n_servers, n_workers, slice_us, clients, weights
+
+
+def test_wfq_matches_brute_force():
+    """WFQ's turns and forfeits against the oracle's own, on multi-worker
+    servers too; in some cases the weights must reorder completions against
+    processor sharing over one FIFO, or the cases would show nothing ps
+    does not."""
+    ok = departs = wide = 0
+    for seed in range(300):
+        (arrivals, services, n_servers, n_workers, slice_us, clients,
+         weights) = make_wfq_case(seed)
+        try:
+            expect = brute_force(arrivals, services, n_servers, n_workers,
+                                 "wfq", slice_us, clients=clients,
+                                 weights=weights)
+            fifo = brute_force(arrivals, services, n_servers, n_workers,
+                               "ps", slice_us)
+        except TieCollision:
+            continue
+        got = run_sim(arrivals, services, n_servers, n_workers, "wfq",
+                      slice_us, clients=clients, weights=weights)
+        assert got == pytest.approx(expect, abs=1e-9), (
+            f"seed {seed}: {list(zip(arrivals, services, clients))} "
+            f"servers={n_servers} workers={n_workers} slice={slice_us} "
+            f"weights={weights}")
+        ok += 1
+        if expect != pytest.approx(fifo, abs=1e-9):
+            departs += 1
+            wide += n_workers >= 2
+    assert ok >= 200 and departs >= 80 and wide >= 40, (ok, departs, wide)
 
 
 def test_hand_traced_ps_slice():

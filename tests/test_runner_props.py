@@ -602,27 +602,35 @@ def test_packets_follow_the_send_schedule():
 @pytest.mark.parametrize("intra", sorted(DISCIPLINES))
 def test_every_discipline_runs_from_a_config(intra):
     # each discipline, reached through ExperimentConfig and RackRun, loses
-    # no request and leaves every server empty and idle
+    # no request and leaves every server empty and idle; with server 1
+    # removed unplanned and added back, it drops some, counts each once,
+    # and leaves no reassembly entry of the 2-packet class behind
     block = {"kind": intra, "slice_us": 10.0}
     if intra == "wfq":
         block["wfq_weights"] = [2, 1]
-    raw = {
-        "name": f"wiring-{intra}",
-        "servers": {"count": 2, "workers": 2},
-        "workload": {"clients": 2, "classes": [
-            {"tag": "hi", "priority": 1,
-             "service": {"kind": "exponential", "mean_us": 30.0}},
-            {"tag": "lo", "service": {"kind": "exponential", "mean_us": 30.0}}]},
-        "policy": {"kind": "sampling", "k": 2},
-        "intra": block,
-        "sweep": {"loads": [0.8], "seeds": [1], "requests_per_point": 2000},
-    }
-    rr = RackRun(ExperimentConfig.from_dict(raw).build_runspec("default", 0.8, 1))
-    rec = rr.run()
-    assert rec.completed > 0
-    assert rec.injected == rec.completed + rec.dropped
-    for srv in rr.servers:
-        assert srv.in_system == srv.busy == 0
+    fault = [{"kind": "remove_server", "at_us": 5000.0, "server": 1,
+              "planned": False},
+             {"kind": "add_server", "at_us": 10000.0, "server": 1}]
+    for timeline, packets in (([], 1), (fault, 2)):
+        raw = {
+            "name": f"wiring-{intra}",
+            "servers": {"count": 2, "workers": 2},
+            "workload": {"clients": 2, "classes": [
+                {"tag": "hi", "priority": 1,
+                 "service": {"kind": "exponential", "mean_us": 30.0}},
+                {"tag": "lo", "packets": packets,
+                 "service": {"kind": "exponential", "mean_us": 30.0}}]},
+            "policy": {"kind": "sampling", "k": 2},
+            "intra": block,
+            "sweep": {"loads": [0.8], "seeds": [1], "requests_per_point": 2000},
+            "timeline": timeline,
+        }
+        rr = RackRun(ExperimentConfig.from_dict(raw).build_runspec("default", 0.8, 1))
+        rec = rr.run()
+        assert rec.completed > 0 and (rec.dropped > 0) == bool(timeline)
+        assert rec.injected == rec.completed + rec.dropped
+        for srv in rr.servers:
+            assert srv.in_system == srv.busy == 0 and srv.partial == {}
 
 
 @pytest.mark.parametrize("policy,tracking", [

@@ -270,6 +270,23 @@ def test_wfq_idle_server_forfeits_leftover_credit():
                                      (4, 50.0)]
 
 
+def test_wfq_failed_server_comes_back_with_no_credit():
+    # client 0 (weight 3) has used two of its three slices when the server
+    # fails; back up, its next request starts a fresh turn of three slices,
+    # not the one slice the failure cut short
+    h = Harness("wfq", slice_us=10.0, wfq_weights=[3, 1])
+    h.send(make_req(1, 10.0, 0.0, client=0))
+    h.send(make_req(2, 10.0, 0.0, client=0))
+    h.sim.run_until(15.0)
+    h.server.fail()
+    h.server.failed = False
+    for rid, client in ((3, 0), (4, 0), (5, 0), (6, 1)):
+        h.send(make_req(rid, 10.0, 20.0, client=client))
+    h.run()
+    assert [r.req_id for r in h.dropped] == [2]
+    assert [rid for rid, _ in h.times()] == [1, 3, 4, 5, 6]
+
+
 def test_wfq_requires_weights():
     with pytest.raises(SimulationError):
         Harness("wfq", slice_us=10.0)
