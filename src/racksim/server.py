@@ -23,9 +23,9 @@ server is given at construction, as `reply(now, on_reply, (req, sid, load,
 final))`, and each request a failure loses, or a packet that reaches a
 failed server, goes to the drop sink it is given with them, so the server
 never needs to know about network delays or the switch.
-A multi-packet request waits in `partial` for its last packet; the server
-that takes it also clears the entry of a server that took the first, and the
-switch clears that entry when it drops the request.
+No server holds a multi-packet request before its last packet: the request
+records `(server, epoch)` for each server its packets reach, and at the last
+one goes to the drop sink if any of them has failed (`epoch`) since.
 
 One timer per uninterrupted run. A sliced request whose worker finds nothing
 else queued at a slice end is handed straight back to the same worker, so
@@ -127,9 +127,10 @@ class Server:
 
         self._empty()
         self.failed = False
+        self.epoch = 0      # failures so far
 
     def _empty(self) -> None:
-        """No request queued, running or partly arrived."""
+        """No request queued or running."""
         for q in self._queues.values():
             q.clear()
         self.w_req: list = [None] * self.n_workers
@@ -139,7 +140,6 @@ class Server:
         self.outstanding = [0] * self.n_classes     # queued + running, per class
         self.rem_sum = [0.0] * self.n_classes       # remaining service, per class (int3)
         self._runs = 0          # coalesced runs started since the last cut
-        self.partial: dict = {}                     # multi-packet reassembly
 
     # -- packet arrival --------------------------------------------------------
 
@@ -154,14 +154,16 @@ class Server:
                 return
             left = req.pkts_pending - 1
             req.pkts_pending = left
+            if left == req.packets - 1:
+                req.reached = [(self, self.epoch)]
+            elif req.reached[-1][0] is not self:    # split across servers
+                req.reached.append((self, self.epoch))
             if left > 0:
-                if left == req.packets - 1:
-                    req.held_by = self
-                self.partial[req.req_id] = req
                 return
-            self.partial.pop(req.req_id, None)
-            if req.held_by is not self:     # its packets split across servers
-                req.held_by.partial.pop(req.req_id, None)
+            for srv, epoch in req.reached:
+                if srv.epoch != epoch:      # failed since a packet landed
+                    self.drop_sink(req)
+                    return
         tag = req.tag
         self.outstanding[tag] += 1
         if self.int3:
@@ -366,14 +368,14 @@ class Server:
     # -- faults ------------------------------------------------------------------
 
     def fail(self) -> None:
-        """Unplanned removal: every queued, running, and partially-arrived
-        request is lost to the drop sink, and every pending timer goes
-        stale."""
-        # a copy of `partial`: the drop sink clears a request's entry there
-        for held in (*self._queues.values(), self.w_req, list(self.partial.values())):
+        """Unplanned removal: every queued and running request is lost to the
+        drop sink, and every pending timer goes stale. A request with only
+        some packets here is dropped at its last, by the epoch check."""
+        for held in (*self._queues.values(), self.w_req):
             for req in held:
                 if req is not None:
                     self.drop_sink(req)
         self.w_token = [t + self.n_workers for t in self.w_token]
         self._empty()
+        self.epoch += 1
         self.failed = True

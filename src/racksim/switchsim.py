@@ -426,13 +426,10 @@ class Switch:
             row[:] = [0] * len(row)
 
     def mark_dropped(self, req) -> None:
-        """Count a lost request once, and clear the reassembly entry its
-        first packets made at a server."""
+        """Count a lost request once."""
         if not req.dropped:
             req.dropped = True
             self.dropped_requests += 1
-            if req.packets > req.pkts_pending > 0:
-                req.held_by.partial.pop(req.req_id, None)
 
     # -- packet handling -----------------------------------------------------
 

@@ -70,7 +70,7 @@ class Request:
         "measured",
         "dropped",
         "fallback",
-        "held_by",      # multi-packet only: the server its first packet reached
+        "reached",      # multi-packet only: (server, epoch) per server reached
     )
 
     def __init__(self, req_id, client, tag, priority, locality, packets, service, arrival, group=None):

@@ -6,11 +6,13 @@ test may reuse a point another test already ran.
 
 import json
 import pathlib
+from collections import deque
 
 import pytest
 
 from racksim.config import ExperimentConfig
 from racksim.runner import RackRun, run_point
+from racksim.workload import Request
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -51,3 +53,26 @@ def run_traced(exp: ExperimentConfig, variant: str, load: float, seed: int):
     rr = RackRun(spec)
     rec = rr.run()
     return rec, rr
+
+
+def held_requests(rr) -> list:
+    """Every request some server of `rr` still refers to, however deep in
+    its state, but for `w_last`: the last request each worker ran, kept to
+    charge a context switch."""
+    held = []
+
+    def walk(val):
+        if isinstance(val, Request):
+            held.append(val)
+        elif isinstance(val, dict):
+            for v in val.values():
+                walk(v)
+        elif isinstance(val, (list, tuple, deque)):
+            for v in val:
+                walk(v)
+
+    for srv in rr.servers:
+        for name, val in vars(srv).items():
+            if name != "w_last":
+                walk(val)
+    return held

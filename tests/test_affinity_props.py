@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from racksim.config import ExperimentConfig
 from racksim.runner import RackRun
 
+from conftest import held_requests
+
 MEAN_US = 20.0
 LOAD = 0.7
 POLICIES = st.one_of(
@@ -29,10 +31,11 @@ POLICIES = st.one_of(
 
 @st.composite
 def racks(draw):
-    """A config of 1-4 servers x 1-3 workers, 1-2 classes (one optionally
-    on a locality set), a 1-stage table, one policy, 100-400 requests and a
-    timeline of faults. Removals take servers from the top and never server
-    0, which every locality set holds, so no set runs out of servers."""
+    """A config of 1-4 servers x 1-3 workers, 1-2 classes of 1-4 packets
+    (one optionally on a locality set), a 1-stage table, one policy, 100-400
+    requests and a timeline of faults. Removals take servers from the top
+    and never server 0, which every locality set holds, so no set runs out
+    of servers."""
     n = draw(st.integers(1, 4))
     workers = draw(st.integers(1, 3))
     requests = draw(st.integers(100, 400))
@@ -40,7 +43,7 @@ def racks(draw):
     at = st.floats(0.05, 0.8).map(lambda f: round(f * horizon, 1))
     span = st.floats(0.02, 0.3).map(lambda f: round(f * horizon, 1))
 
-    classes = [{"tag": f"c{i}", "packets": draw(st.integers(1, 3)),
+    classes = [{"tag": f"c{i}", "packets": draw(st.integers(1, 4)),
                 "group_size": draw(st.integers(1, 2)),
                 "service": {"kind": "exponential", "mean_us": MEAN_US}}
                for i in range(draw(st.integers(1, 2)))]
@@ -164,14 +167,16 @@ def test_switch_counters_match_the_packets_the_servers_saw(raw):
     if not sw.reqtable.purged:
         assert split == 0
     assert all(hist == sums for hist, sums in readds)
+    assert held_requests(rr) == []
 
 
-def three_packet_run(**raw):
-    """A 4x2 rack under `random`, 5000 3-packet requests 30 us apart at
-    load 0.7, seed 1, with the extra config keys given, run to the end."""
+def multi_packet_run(packets, **raw):
+    """A 4x2 rack under `random`, 5000 requests of `packets` packets 30 us
+    apart at load 0.7, seed 1, with the extra config keys given, run to the
+    end."""
     raw.update({"name": "reassembly", "servers": {"count": 4, "workers": 2},
                 "workload": {"inter_packet_gap_us": 30.0,
-                             "classes": [{"tag": "c0", "packets": 3,
+                             "classes": [{"tag": "c0", "packets": packets,
                                           "service": {"kind": "exponential",
                                                       "mean_us": MEAN_US}}]},
                 "policy": {"kind": "random"},
@@ -184,21 +189,34 @@ def three_packet_run(**raw):
 def test_no_reassembly_entry_outlives_its_request():
     """Under a 0.05 ms TTL, purges split many requests across two servers,
     and the server that took a request's last packet completes it. Each
-    such split once left the request in the `partial` of the server that
-    took its first packet, whole and never cleared."""
-    rr, rec = three_packet_run(reqtable={"ttl_ms": 0.05})
+    such split once left the request, whole and never cleared, at the
+    server that took its first packet."""
+    rr, rec = multi_packet_run(3, reqtable={"ttl_ms": 0.05})
     assert rr.switch.affinity_violations > 1000
     assert rec.injected == rec.completed
-    assert all(req.pkts_pending > 0
-               for srv in rr.servers for req in srv.partial.values())
+    assert held_requests(rr) == []
 
 
 def test_no_reassembly_entry_outlives_its_dropped_request():
     """A 500 us switch failure: a request whose first packets reached a
-    server before it and whose later ones it dropped once stayed in that
-    server's `partial` to the end."""
-    rr, rec = three_packet_run(timeline=[{"kind": "switch_fail",
+    server before it and whose later ones it dropped once stayed at that
+    server to the end."""
+    rr, rec = multi_packet_run(3, timeline=[{"kind": "switch_fail",
+                                             "at_us": 3000.0,
+                                             "duration_us": 500.0}])
+    assert rec.dropped > 0 and rec.injected == rec.completed + rec.dropped
+    assert held_requests(rr) == []
+
+
+def test_no_server_holds_a_split_request_dropped_at_the_switch():
+    """4 packets under a 0.05 ms TTL and a 500 us switch failure: a request
+    whose packets split across two servers before the switch dropped a later
+    one once stayed at the second server to the end (3 packets never split
+    before the last)."""
+    rr, rec = multi_packet_run(4, reqtable={"ttl_ms": 0.05},
+                               timeline=[{"kind": "switch_fail",
                                           "at_us": 3000.0,
                                           "duration_us": 500.0}])
-    assert rec.dropped > 0 and rec.injected == rec.completed + rec.dropped
-    assert [req for srv in rr.servers for req in srv.partial.values()] == []
+    assert rr.switch.affinity_violations > 0 and rec.dropped > 0
+    assert rec.injected == rec.completed + rec.dropped
+    assert held_requests(rr) == []

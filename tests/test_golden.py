@@ -11,12 +11,19 @@ behaviour, and say so in CHANGES.md.
 
 The module imports without pytest, so an interpreter that lacks it checks
 the table too: `PYTHONPATH=src python tests/test_golden.py --check` prints
-each mismatch and exits 1 if there is any.
+each mismatch and exits 1 if there is any. Under pytest,
+`test_golden_check_passes_under_other_cpythons` runs that check under every
+other CPython 3.10 or later that pyenv installed (`$PYENV_ROOT/versions`,
+by default `~/.pyenv/versions`), and is skipped when there is none.
 """
 
 import hashlib
 import json
+import os
 import pathlib
+import platform
+import re
+import subprocess
 import sys
 import tempfile
 
@@ -30,7 +37,8 @@ except ImportError:
 from racksim.config import ExperimentConfig
 from racksim.runner import run_experiment
 
-CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 REQUESTS = 5000
 TIME_SCALE = 0.01
 
@@ -152,6 +160,27 @@ def test_every_shipped_config_has_golden_hashes():
 @parametrize("name", shipped())
 def test_csv_bytes_match_golden(name, tmp_path):
     assert csv_hashes(name, tmp_path) == GOLDEN[name]
+
+
+PYENV_VERSIONS = pathlib.Path(
+    os.environ.get("PYENV_ROOT", pathlib.Path.home() / ".pyenv"), "versions")
+
+
+def other_cpythons() -> list:
+    """Every pyenv-installed CPython 3.10 or later but the running one."""
+    return [p.name for p in sorted(PYENV_VERSIONS.glob("3.*"))
+            if re.fullmatch(r"3\.1\d\.\d+", p.name)
+            and p.name != platform.python_version()
+            and (p / "bin" / "python").exists()]
+
+
+@parametrize("version", other_cpythons())
+def test_golden_check_passes_under_other_cpythons(version):
+    python = PYENV_VERSIONS / version / "bin" / "python"
+    out = subprocess.run([str(python), __file__, "--check"],
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 def recompute() -> dict:

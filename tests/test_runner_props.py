@@ -12,7 +12,7 @@ from racksim.runner import CSV_COLUMNS, RackRun, _format_row, run_point
 from racksim.server import DISCIPLINES
 from racksim.switchsim import TRACKING_KINDS
 
-from conftest import run_traced
+from conftest import held_requests, run_traced
 
 
 def make_exp(**over):
@@ -604,7 +604,7 @@ def test_every_discipline_runs_from_a_config(intra):
     # each discipline, reached through ExperimentConfig and RackRun, loses
     # no request and leaves every server empty and idle; with server 1
     # removed unplanned and added back, it drops some, counts each once,
-    # and leaves no reassembly entry of the 2-packet class behind
+    # and leaves no request of the 2-packet class at any server
     block = {"kind": intra, "slice_us": 10.0}
     if intra == "wfq":
         block["wfq_weights"] = [2, 1]
@@ -630,7 +630,8 @@ def test_every_discipline_runs_from_a_config(intra):
         assert rec.completed > 0 and (rec.dropped > 0) == bool(timeline)
         assert rec.injected == rec.completed + rec.dropped
         for srv in rr.servers:
-            assert srv.in_system == srv.busy == 0 and srv.partial == {}
+            assert srv.in_system == srv.busy == 0
+        assert held_requests(rr) == []
 
 
 @pytest.mark.parametrize("policy,tracking", [

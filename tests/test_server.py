@@ -351,19 +351,41 @@ def test_multi_packet_request_enqueues_after_last_packet():
     assert h.run() and h.times() == [(1, 13.0)]
 
 
-def test_split_request_leaves_no_entry_where_it_began():
-    # the first packet reaches server 0 and the other two server 1, as when
-    # the switch loses the mapping between them; server 1 completes it
+def split_request(fail_first):
+    """A 3-packet request whose first packet reaches server 0 and the other
+    two server 1, as when the switch loses the mapping between them; server
+    0 fails after the first packet if `fail_first`."""
     a = Harness("cfcfs")
     b = Server(1, 1, "cfcfs", a.sim, a._reply, a._on_reply, a.dropped.append)
     req = make_req(1, 10.0, 0.0, packets=3)
     a.send(req, at=0.0)
+    if fail_first:
+        a.sim.schedule(0.5, lambda now, _: a.server.fail(), None)
     a.sim.schedule(1.0, b.on_packet, req)
-    a.sim.run_until(1.5)
-    assert a.server.partial == {1: req} and b.partial == {1: req}
     a.sim.schedule(2.0, b.on_packet, req)
-    assert a.run() and a.times() == [(1, 12.0)]
-    assert a.server.partial == {} and b.partial == {}
+    a.run()
+    return a
+
+
+def test_split_request_completes_or_drops_at_its_last_packet():
+    h = split_request(fail_first=False)
+    assert h.times() == [(1, 12.0)] and h.dropped == []
+    h = split_request(fail_first=True)
+    assert h.done == [] and [r.req_id for r in h.dropped] == [1]
+
+
+def test_request_across_a_fail_and_readd_is_dropped():
+    # the server fails and comes back between the request's two packets:
+    # the first packet was lost with it, so the last cannot complete it
+    h = Harness("cfcfs")
+    req = make_req(1, 10.0, 0.0, packets=2)
+    h.send(req, at=0.0)
+    h.sim.run_until(1.0)
+    h.server.fail()
+    h.server.failed = False
+    h.send(req, at=2.0)
+    assert h.run() == [] and [r.req_id for r in h.dropped] == [1]
+    assert h.server.in_system == 0 and h.server.idle == [0]
 
 
 def test_group_reply_final_only_on_last_member():
@@ -381,20 +403,25 @@ def test_group_reply_final_only_on_last_member():
 
 def test_fail_drops_all_resident_requests():
     h = Harness("cfcfs")
-    partial = make_req(9, 10.0, 0.0, packets=2)
+    split = make_req(9, 10.0, 0.0, packets=2)
     h.send(make_req(1, 50.0, 0.0))
     h.send(make_req(2, 10.0, 0.0))
-    h.send(partial, at=0.0)
+    h.send(split, at=0.0)
     h.sim.run_until(5.0)
     assert h.server.fail() is None
-    assert sorted(r.req_id for r in h.dropped) == [1, 2, 9]
+    assert sorted(r.req_id for r in h.dropped) == [1, 2]
     assert h.server.in_system == 0 and h.server.busy == 0
-    assert h.server.partial == {}
 
     h.dropped.clear()
     h.server.on_packet(6.0, make_req(3, 5.0, 6.0))
     h.sim.run_until(1e9)
     assert [r.req_id for r in h.dropped] == [3] and h.done == []
+
+    # re-added: request 9's last packet drops it, as its first was lost
+    h.server.failed = False
+    h.server.on_packet(7.0, split)
+    h.sim.run_until(1e9)
+    assert [r.req_id for r in h.dropped] == [3, 9] and h.done == []
 
 
 def test_pending_timers_are_void_after_fail():
