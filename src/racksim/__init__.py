@@ -7,18 +7,3 @@ All simulated times are microseconds (floats). Runs are deterministic given
 """
 
 __version__ = "0.1.0"
-
-from .engine import EventLoop, RngStreams, SimulationError
-from .analysis import (MetricsRecord, jsq_equilibrium, mm1_sojourn_mean,
-                       quantile)
-
-__all__ = [
-    "EventLoop",
-    "RngStreams",
-    "SimulationError",
-    "MetricsRecord",
-    "jsq_equilibrium",
-    "mm1_sojourn_mean",
-    "quantile",
-    "__version__",
-]

@@ -21,6 +21,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import product
+from sys import float_info
 
 from .server import DISCIPLINES
 from .switchsim import (INT1, MAX_STAGES, PROACTIVE, TRACKING_KINDS,
@@ -65,22 +66,31 @@ def _check_keys(block: dict, allowed, path: str):
             _fail(f"{path}.{key}", "unknown key")
 
 
+def _value(v, path: str, lo=None, hi=None, integer: bool = False):
+    """`v` as a finite number within [lo, hi]: an int if `integer`, else a
+    float. JSON reads NaN, Infinity and integers of any size; none passes."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        _fail(path, f"expected a number, got {v!r}")
+    if not abs(v) <= float_info.max:    # NaN fails every comparison
+        _fail(path, f"must be a finite number, got {v!r}")
+    if integer and int(v) != v:
+        _fail(path, f"expected an integer, got {v!r}")
+    if lo is not None and v < lo:
+        _fail(path, f"must be >= {lo}, got {v}")
+    if hi is not None and v > hi:
+        _fail(path, f"must be <= {hi}, got {v}")
+    return int(v) if integer else float(v)
+
+
 def _num(block: dict, key: str, path: str, default, lo=None, hi=None,
          integer: bool = False, allow_none: bool = False):
+    """`block[key]`, or `default`, as `_value` checks it."""
     v = block.get(key, default)
     if v is None:
         if allow_none:
             return None
         _fail(f"{path}.{key}", "required value missing")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", f"expected a number, got {v!r}")
-    if integer and int(v) != v:
-        _fail(f"{path}.{key}", f"expected an integer, got {v!r}")
-    if lo is not None and v < lo:
-        _fail(f"{path}.{key}", f"must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        _fail(f"{path}.{key}", f"must be <= {hi}, got {v}")
-    return int(v) if integer else float(v)
+    return _value(v, f"{path}.{key}", lo, hi, integer)
 
 
 def _choice(block: dict, key: str, path: str, choices, default=None):
@@ -131,23 +141,23 @@ def _parse_dist(block: dict, path: str) -> ServiceDistribution:
     want = 2 if kind == "bimodal" else 3
     if not isinstance(modes, list) or len(modes) != want:
         _fail(f"{path}.modes", f"{kind} needs exactly {want} [prob, value_us] pairs")
-    total = 0.0
+    pairs = []
     for i, pair in enumerate(modes):
+        mpath = f"{path}.modes[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
-            _fail(f"{path}.modes[{i}]", "expected a [prob, value_us] pair")
-        p, v = pair
-        if (isinstance(p, bool) or not isinstance(p, (int, float))
-                or not 0.0 < p <= 1.0):
-            _fail(f"{path}.modes[{i}]", f"probability must be in (0, 1], got {p!r}")
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0.0:
-            _fail(f"{path}.modes[{i}]", f"value_us must be > 0, got {v!r}")
-        total += p
+            _fail(mpath, "expected a [prob, value_us] pair")
+        p, v = (_value(x, mpath) for x in pair)
+        if not 0.0 < p <= 1.0:
+            _fail(mpath, f"probability must be in (0, 1], got {p!r}")
+        if v <= 0.0:
+            _fail(mpath, f"value_us must be > 0, got {v!r}")
+        pairs.append((p, v))
+    total = sum(p for p, _ in pairs)
     if abs(total - 1.0) > 1e-9:
         _fail(f"{path}.modes", f"probabilities must sum to 1, got {total}")
     if "mean_us" in block:
         _fail(f"{path}.mean_us", "not valid for mixture kinds (mean is implied)")
-    return ServiceDistribution(kind, 0.0, [(float(p), float(v))
-                                           for p, v in modes])
+    return ServiceDistribution(kind, 0.0, pairs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,8 +240,8 @@ class ExperimentConfig:
         if isinstance(w, list):
             if len(w) != self.n_servers:
                 _fail("servers.workers", f"need {self.n_servers} entries, got {len(w)}")
-            self.workers = [_num({"w": x}, "w", f"servers.workers[{i}]", None,
-                                 lo=1, integer=True) for i, x in enumerate(w)]
+            self.workers = [_value(x, f"servers.workers[{i}]", lo=1, integer=True)
+                            for i, x in enumerate(w)]
         else:
             per = _num(block, "workers", "servers", 8, lo=1, integer=True)
             self.workers = [per] * self.n_servers
@@ -417,10 +427,8 @@ class ExperimentConfig:
             if not isinstance(ws, list) or len(ws) != self.clients:
                 _fail("intra.wfq_weights",
                       f"wfq needs one positive integer weight per client ({self.clients})")
-            for i, w in enumerate(ws):
-                if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-                    _fail(f"intra.wfq_weights[{i}]", f"must be an integer >= 1, got {w!r}")
-            self.wfq_weights = list(ws)
+            self.wfq_weights = [_value(w, f"intra.wfq_weights[{i}]", lo=1,
+                                       integer=True) for i, w in enumerate(ws)]
         else:
             if ws is not None:
                 _fail("intra.wfq_weights", "only valid with kind 'wfq'")
@@ -439,7 +447,7 @@ class ExperimentConfig:
         loads = block.get("loads", [0.5])
         if not isinstance(loads, list) or not loads:
             _fail("sweep.loads", "must be a non-empty list")
-        self.loads = [_num({"l": x}, "l", f"sweep.loads[{i}]", None, lo=1e-9)
+        self.loads = [_value(x, f"sweep.loads[{i}]", lo=1e-9)
                       for i, x in enumerate(loads)]
         seeds = block.get("seeds", [1])
         if not isinstance(seeds, list) or not seeds:
@@ -499,12 +507,12 @@ class ExperimentConfig:
                 ws = ev.get("weights")
                 if not isinstance(ws, dict) or not ws:
                     _fail(f"{path}.weights", "must be a non-empty object of tag -> weight")
+                out["weights"] = {}
                 for tag, w in ws.items():
                     if tag not in tags:
                         _fail(f"{path}.weights", f"unknown class tag {tag!r}")
-                    if isinstance(w, bool) or not isinstance(w, (int, float)) or w < 0:
-                        _fail(f"{path}.weights.{tag}", f"must be a number >= 0, got {w!r}")
-                out["weights"] = {t: float(w) for t, w in ws.items()}
+                    out["weights"][tag] = _value(w, f"{path}.weights.{tag}",
+                                                 lo=0.0)
             # `_num` takes 1.0 for 1, but a server id is a JSON integer
             if "server" in out and not _server_id(ev["server"], self.n_servers):
                 _fail(f"{path}.server", f"bad server id {ev['server']!r}")

@@ -14,15 +14,17 @@ once, under WFQ as a fresh turn of its client.
 
 Push (enqueue at the tail), pick (take the next request to serve), cap and
 coalescing are bound once, at construction; no discipline is compared per
-event. The server owns its timer events; cancellation is by per-worker
-tokens (a stale token means the worker was reassigned and the event is
-void). A token is the event's only argument: tokens of worker `wid` are
-congruent to `wid` modulo the worker count, so the token also names its
-worker. A reply goes out through the server-to-switch push and handler the
-server is given at construction, as `reply(now, on_reply, (req, sid, load,
-final))`, and each request a failure loses, or a packet that reaches a
-failed server, goes to the drop sink it is given with them, so the server
-never needs to know about network delays or the switch.
+event. The server owns its timers, one `_on_worker` per worker, at a slice
+end, a run end or the end of a preemption's switch latency (when the worker
+holds no request); cancellation is by per-worker tokens (a stale token means
+the worker was reassigned and the event is void). A token is the event's
+only argument: tokens of worker `wid` are congruent to `wid` modulo the
+worker count, so the token also names its worker. A reply goes out through
+the server-to-switch push and handler the server is given at construction,
+as `reply(now, on_reply, (req, sid, load, final))`, and each request a
+failure loses, or a packet that reaches a failed server, goes to the drop
+sink it is given with them, so the server never needs to know about network
+delays or the switch.
 No server holds a multi-packet request before its last packet: the request
 records `(server, epoch)` for each server its packets reach, and at the last
 one goes to the drop sink if any of them has failed (`epoch`) since.
@@ -287,28 +289,29 @@ class Server:
         if self.w_token[wid] != token:
             return
         req = self.w_req[wid]
-        q = self.w_q[wid]
-        req.remaining -= q
-        tag = req.tag
-        if self.int3:
-            self.rem_sum[tag] -= q
-        self.w_req[wid] = None
-        self.w_last[wid] = req
-        self.busy -= 1
-        if req.remaining <= 0.0:
-            self.outstanding[tag] -= 1
-            self.in_system -= 1
-            group = req.group
-            if group is None:
-                final = True
+        if req is not None:     # None: a preemption's switch latency ended
+            q = self.w_q[wid]
+            req.remaining -= q
+            tag = req.tag
+            if self.int3:
+                self.rem_sum[tag] -= q
+            self.w_req[wid] = None
+            self.w_last[wid] = req
+            self.busy -= 1
+            if req.remaining <= 0.0:
+                self.outstanding[tag] -= 1
+                self.in_system -= 1
+                group = req.group
+                if group is None:
+                    final = True
+                else:
+                    group.done += 1
+                    final = group.done >= group.size
+                load = (self.current_load(tag, now) if self.int3
+                        else self.outstanding[tag])
+                self.reply(now, self.on_reply, (req, self.sid, load, final))
             else:
-                group.done += 1
-                final = group.done >= group.size
-            load = (self.current_load(tag, now) if self.int3
-                    else self.outstanding[tag])
-            self.reply(now, self.on_reply, (req, self.sid, load, final))
-        else:
-            self._push(req)
+                self._push(req)
         if self.in_system > self.busy:
             self._assign(wid, self._pick(), now)
         else:
@@ -354,16 +357,7 @@ class Server:
         self.busy -= 1
         # victim was in service: it resumes from the head of its own queue
         self._queues[self._key(req)].appendleft(req)
-        self.sim.schedule(now + self.preempt_lat_us, self._on_switch_done, token)
-
-    def _on_switch_done(self, now: float, token: int) -> None:
-        wid = token % self.n_workers
-        if self.w_token[wid] != token:
-            return
-        if self.in_system > self.busy:
-            self._assign(wid, self._pick(), now)
-        else:
-            self.idle.append(wid)
+        self.sim.schedule(now + self.preempt_lat_us, self._timer, token)
 
     # -- faults ------------------------------------------------------------------
 

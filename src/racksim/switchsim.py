@@ -10,9 +10,11 @@ There is one `route_reqf`: it selects over the request's class row of
 its rows hold: the tracked counters (int1, int3, proactive), the class's
 (server, minimum) pair for the `int2` policy, or, for JBSQ, one row of
 outstanding counts that every class shares. JBSQ counts that row as
-proactive tracking does: one up on dispatch, one down on the final reply.
+proactive tracking does: one up on dispatch, one down at the final reply.
 A request JBSQ cannot place waits in `stalled`, one FIFO map from req_id to
 the request and its buffered follow-on packets.
+A request whose locality set has no active server is dropped, at its first
+packet or, if it is stalled, when the set's last active server goes down.
 A REQR whose mapping is missing (table overflow, post-failure) falls back to
 hash routing over the *physical* membership of the request's locality set so
 that every packet of a request still reaches one server.
@@ -265,11 +267,8 @@ class JBSQPolicy(SamplingPolicy):
         self.bound = bound
 
     def select(self, loads, elig, rnd, req):
-        if elig:
-            best = SamplingPolicy.select(self, loads, elig, rnd, req)
-            if loads[best] < self.bound:
-                return best
-        return None
+        best = SamplingPolicy.select(self, loads, elig, rnd, req)
+        return best if loads[best] < self.bound else None
 
 
 class Int2Policy(Policy):
@@ -387,12 +386,15 @@ class Switch:
         self.elig = [[s for s in members if self.active[s]] for members in self.loc_sets]
 
     def set_active(self, server: int, flag: bool, now: float) -> list:
-        """Bring a server up or take it down. A server that comes up can take
-        stalled JBSQ requests: the head of the stall FIFO is released for as
-        long as it places, as a final reply releases it. Returns the
-        releases, each (req, dst, follow) as in `note_rep`."""
+        """Bring a server up or take it down. A stalled request whose set
+        this leaves with no active server is dropped. A server that comes up
+        can take stalled JBSQ requests: the head of the stall FIFO is
+        released for as long as it places, as a final reply releases it.
+        Returns the releases, each (req, dst, follow) as in `note_rep`."""
         self.active[server] = flag
         self._rebuild_eligible()
+        self._drop_stalled([rid for rid, (sreq, _) in self.stalled.items()
+                            if not self.elig[sreq.locality]])
         releases = []
         while flag and self.stalled:
             release = self._release_head(now)
@@ -405,10 +407,14 @@ class Switch:
         """Switch goes dark: every packet is dropped until recover(), the
         stalled ones included."""
         self.failed = True
-        for sreq, follow in self.stalled.values():
+        self._drop_stalled(list(self.stalled))
+
+    def _drop_stalled(self, rids) -> None:
+        """Drop the stalled requests `rids`, with their buffered packets."""
+        for rid in rids:
+            sreq, follow = self.stalled.pop(rid)
             for req in (sreq, *follow):
                 self.mark_dropped(req)
-        self.stalled.clear()
 
     def forget_server(self, server: int) -> None:
         """A failed server comes back empty: zero its entry in every row the
@@ -440,14 +446,12 @@ class Switch:
     def route_reqf(self, req, now: float):
         """Pick a server for a first packet: the bound `_select` over the
         request's class row of `loads`, within its eligible set. Returns the
-        server id, or None if dropped (switch down), or -1 if stalled (JBSQ
-        at bound)."""
-        if self.failed:
+        server id, or None if dropped (switch down, or no active server in
+        the request's locality set), or -1 if stalled (JBSQ at bound)."""
+        elig = self.elig[req.locality]
+        if self.failed or not elig:
             self.mark_dropped(req)
             return None
-        elig = self.elig[req.locality]
-        if not elig:
-            raise SimulationError("no eligible server for locality class")
         dst = self._select(self.loads[req.tag], elig, self.rnd_sampling, req)
         if dst is None:
             self.stalled[req.req_id] = (req, [])
@@ -499,7 +503,6 @@ class Switch:
             self.mark_dropped(req)
             return False, None
         if final:
-            self.reqtable.remove(req.req_id)
             if self.rep_loss_prob > 0.0 and self.rnd_loss.random() < self.rep_loss_prob:
                 pass  # reply's tracking effect lost (retransmission cleans up)
             elif self._int2:
@@ -511,11 +514,19 @@ class Switch:
                     pair[0] = src
                     pair[1] = load_report
             elif self._proactive:
+                # count down where `_dispatch` counted up: a request that a
+                # lost mapping split may finish on another server
+                dst = self.reqtable.read(req.req_id)
+                if dst < 0:
+                    dst = self.reqtable.purged.get(req.req_id, -1)
+                if dst < 0:     # never placed: counted at its fallback
+                    dst = self._fallback(req)
                 row = self.loads[req.tag]
-                if row[src] > 0:
-                    row[src] -= 1
+                if row[dst] > 0:
+                    row[dst] -= 1
             else:  # INT1, INT3: the report overwrites
                 self.loads[req.tag][src] = load_report
+            self.reqtable.remove(req.req_id)
             if self.stalled:
                 return True, self._release_head(now)
         return True, None

@@ -12,6 +12,7 @@ FIFO, so packets land in the order they were put on it.
 
 from collections import deque
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -33,9 +34,9 @@ POLICIES = st.one_of(
 def racks(draw):
     """A config of 1-4 servers x 1-3 workers, 1-2 classes of 1-4 packets
     (one optionally on a locality set), a 1-stage table, one policy, 100-400
-    requests and a timeline of faults. Removals take servers from the top
-    and never server 0, which every locality set holds, so no set runs out
-    of servers."""
+    requests and a timeline of faults. Removals take servers from the top,
+    server 0 too, which every locality set holds, so a set may run out of
+    servers until one is re-added."""
     n = draw(st.integers(1, 4))
     workers = draw(st.integers(1, 3))
     requests = draw(st.integers(100, 400))
@@ -67,7 +68,7 @@ def racks(draw):
     if draw(st.booleans()):
         timeline.append({"kind": "switch_fail", "at_us": draw(at),
                          "duration_us": draw(span)})
-    for server, planned in zip(range(n - 1, 0, -1),
+    for server, planned in zip(range(n - 1, -1, -1),
                                draw(st.lists(st.booleans(), max_size=2))):
         t = draw(at)
         ev = {"kind": "remove_server", "at_us": t, "server": server,
@@ -102,6 +103,42 @@ def split_then_fail(n):
                           "purge_delay_us": round(h / 4, 1)},
                          {"kind": "add_server", "server": n - 1,
                           "at_us": round(3 * h / 4, 1)}]}
+
+
+def empty_set(policy):
+    """A 4x2 rack whose set "one" is server 3 alone, with one class pinned
+    to it and one free, and a planned removal of server 3 at 2000 us that is
+    never undone: 2000 requests at load 0.5, seed 1 (the counters' test
+    runs it at its own load)."""
+    svc = {"kind": "exponential", "mean_us": MEAN_US}
+    return {"name": "empty-set", "servers": {"count": 4, "workers": 2},
+            "locality_sets": {"one": [3]},
+            "workload": {"classes": [
+                {"tag": "pinned", "locality": "one", "service": svc},
+                {"tag": "free", "service": svc}]},
+            "policy": policy,
+            "sweep": {"loads": [0.5], "seeds": [1], "requests_per_point": 2000},
+            "timeline": [{"kind": "remove_server", "at_us": 2000.0,
+                          "server": 3}]}
+
+
+def split_under_jbsq():
+    """A 3x1 rack under JBSQ with bound 1: groups of two 2-packet requests
+    40 us apart, which a 3-slot table with a 0.05 ms TTL splits across
+    servers, and a class pinned to server 0. The count of a split request
+    once came off the server of its final reply, not the one it was counted
+    on, and the counts left at the bound stalled 82 requests to the end."""
+    svc = {"kind": "exponential", "mean_us": MEAN_US}
+    return {"name": "affinity-fuzz", "servers": {"count": 3, "workers": 1},
+            "locality_sets": {"near": [0]},
+            "workload": {"inter_packet_gap_us": 40.0, "classes": [
+                {"tag": "c0", "packets": 2, "group_size": 2, "service": svc},
+                {"tag": "c1", "locality": "near", "service": svc}]},
+            "reqtable": {"stages": 1, "slots_per_stage": 3, "ttl_ms": 0.05},
+            "policy": {"kind": "jbsq", "bound": 1},
+            "sweep": {"loads": [LOAD], "seeds": [8], "requests_per_point": 100,
+                      "drain_us": 50000.0},
+            "timeline": []}
 
 
 def observe(rr):
@@ -139,6 +176,8 @@ def observe(rr):
 @given(racks())
 @example(split_then_fail(2))
 @example(split_then_fail(3))
+@example(empty_set({"kind": "jbsq"}))
+@example(split_under_jbsq())
 def test_switch_counters_match_the_packets_the_servers_saw(raw):
     exp = ExperimentConfig.from_dict(raw)
     rr = RackRun(exp.build_runspec("default", LOAD, raw["sweep"]["seeds"][0]))
@@ -220,3 +259,19 @@ def test_no_server_holds_a_split_request_dropped_at_the_switch():
     assert rr.switch.affinity_violations > 0 and rec.dropped > 0
     assert rec.injected == rec.completed + rec.dropped
     assert held_requests(rr) == []
+
+
+@pytest.mark.parametrize("policy", [{"kind": "random"},
+                                    {"kind": "sampling", "k": 2},
+                                    {"kind": "jbsq"}])
+def test_a_set_with_no_active_server_drops_its_requests(policy):
+    """Once server 3 is gone, the pinned class has nowhere to go: each of
+    its first packets is dropped at the switch, and so is each request JBSQ
+    had stalled for it. The run once raised `SimulationError` at the first,
+    and the free class runs on."""
+    exp = ExperimentConfig.from_dict(empty_set(policy))
+    rr = RackRun(exp.build_runspec("default", 0.5, 1))
+    rec = rr.run()
+    assert rec.dropped > 0 and rec.completions[1] > 0
+    assert rec.injected == rec.completed + rec.dropped
+    assert not rr.switch.stalled and held_requests(rr) == []

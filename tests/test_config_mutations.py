@@ -3,7 +3,8 @@ fails with a `ConfigError` whose message starts with the dotted path of what
 it rejects, never with a bare exception.
 
 An edit deletes one object key, or replaces one value (an object member or a
-list element, at any depth) with one of `VALUES`. Every edit of every config
+list element, at any depth) with one of `VALUES`, which include the NaN,
+infinity and oversized integer that `json` reads. Every edit of every config
 runs; a parse takes well under a millisecond, so the set takes seconds.
 """
 
@@ -16,7 +17,8 @@ from racksim.config import ConfigError, ExperimentConfig
 
 from conftest import CONFIG_DIR, load_raw
 
-VALUES = (None, True, False, 0, -1, 0.5, "", "x", [], {}, [1], {"a": 1})
+VALUES = (None, True, False, 0, -1, 0.5, float("nan"), float("inf"), 10**400,
+          "", "x", [], {}, [1], {"a": 1})
 PATH_MESSAGE = re.compile(r"^[a-z_]+(\.[\w-]+|\[\d+\])*: ")
 
 
@@ -77,3 +79,16 @@ def test_every_one_edit_mutation_parses_or_names_its_path(name):
             bad.append(f"{label}: {type(exc).__name__}: {exc}")
     assert n > 100
     assert bad == []
+
+
+@pytest.mark.parametrize("path, over", [
+    (r"sweep\.loads\[0\]", {"sweep": {"loads": [float("nan")]}}),
+    (r"workload\.service\.modes\[1\]", {"workload": {"service": {
+        "kind": "bimodal", "modes": [[0.5, 10.0], [0.5, float("nan")]]}}}),
+], ids=["load", "mode"])
+def test_a_nan_fails_at_its_path(path, over):
+    raw = {"policy": {"kind": "random"},
+           "workload": {"service": {"kind": "exponential", "mean_us": 50.0}}}
+    raw.update(over)
+    with pytest.raises(ConfigError, match=rf"^{path}: must be a finite number"):
+        ExperimentConfig.from_dict(raw)

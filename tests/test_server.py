@@ -237,6 +237,37 @@ def test_priority_idle_worker_skips_preemption_path():
     assert h.run() and h.times() == [(2, 11.0), (1, 50.0)]
 
 
+def int3_priority_harness():
+    """One worker under strict priority with int3 tracking: request 1
+    (priority 0, 100 us) from 0, preempted at 40 by request 2 (priority 1,
+    10 us), which runs after the 5 us switch latency."""
+    h = Harness("priority", n_classes=2, tracking="int3", priorities=[0, 1],
+                preempt_latency_us=5.0)
+    h.send(make_req(1, 100.0, 0.0, tag=0, priority=0))
+    h.send(make_req(2, 10.0, 40.0, tag=1, priority=1))
+    return h
+
+
+def test_int3_preemption_takes_the_victims_elapsed_work_off_its_load():
+    h = int3_priority_harness()
+    h.sim.run_until(50.0)
+    # request 1 ran 40 of its 100 us and waits, request 2 runs from 45
+    assert h.server.current_load(0, 50.0) == 60.0
+    assert h.run() and h.times() == [(2, 55.0), (1, 115.0)]
+
+
+def test_failure_during_a_switch_latency_voids_its_timer():
+    h = int3_priority_harness()
+    h.sim.run_until(42.0)
+    h.server.fail()
+    assert [r.req_id for r in h.dropped] == [2, 1]
+    h.server.failed = False
+    h.send(make_req(3, 10.0, 50.0))
+    # the latency timer at 45 is stale: the worker is idle, not handed twice
+    assert h.run() and h.times() == [(3, 60.0)]
+    assert h.server.idle == [0]
+
+
 # -- weighted fair queueing --------------------------------------------------------
 
 

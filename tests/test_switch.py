@@ -361,9 +361,6 @@ class TestPolicies:
         p = make_policy("jbsq", 1, 0, bound=2)
         assert p.select([2, 1, 2], [0, 1, 2], None, make_req(1)) == 1
         assert p.select([2, 2, 2], [0, 1, 2], None, make_req(2)) is None
-        # a stalled request released while its whole set is inactive
-        # stays stalled
-        assert p.select([0, 0, 0], [], None, make_req(3)) is None
 
 
 # -- switch routing and tracking -----------------------------------------------
@@ -499,6 +496,25 @@ class TestTracking:
         sw.note_rep(req, dst, 0, final=True, now=1.0)
         assert sw.loads[0][dst] == 0
 
+    def test_proactive_counts_down_a_purged_mapping_where_it_counted(self):
+        # a lost mapping split request 1 off server 0: its final reply
+        # comes from server 1, where request 2 still runs
+        sw = make_switch("shortest", tracking=PROACTIVE, n=2)
+        r1, r2 = make_req(1), make_req(2)
+        assert [sw.route_reqf(r, 0.0) for r in (r1, r2)] == [0, 1]
+        sw.reqtable.purge_server(0)
+        sw.note_rep(r1, 1, 0, final=True, now=1.0)
+        assert sw.loads[0] == [0, 1]
+
+    def test_proactive_counts_down_an_unplaced_request_at_its_fallback(self):
+        sw = make_switch("shortest", tracking=PROACTIVE, n=2, stages=1, slots=1)
+        r1, r2 = make_req(1), make_req(2)
+        assert sw.route_reqf(r1, 0.0) == 0      # takes the one slot
+        dst = sw.route_reqf(r2, 0.0)
+        assert r2.fallback and dst == hash_pick(2, [0, 1], sw.fallback_salt)
+        sw.note_rep(r2, 1 - dst, 0, final=True, now=1.0)
+        assert sw.loads[0] == [1, 0]
+
     def test_int2_tracks_minimum_pair(self):
         sw = make_switch("int2")
         pair = sw.loads[0]
@@ -605,6 +621,22 @@ class TestJBSQ:
         assert list(sw.stalled) == [3, 4] and sw.outstanding == [0, 1]
         _, release = sw.note_rep(r2, 1, 0, final=True, now=2.0)
         assert release[:2] == (r3, 1) and list(sw.stalled) == [4]
+
+    def test_a_set_left_with_no_active_server_drops_its_requests(self):
+        sw = make_switch("jbsq", bound=1, n=2, loc_sets=[[0, 1], [1]])
+        r1, r2 = make_req(1), make_req(2)
+        r3, r4 = make_req(3, locality=1, packets=2), make_req(4)
+        assert [sw.route_reqf(r, 0.0) for r in (r1, r2, r3, r4)] == \
+            [0, 1, -1, -1]
+        assert sw.route_reqr(r3) == -1
+        # request 3's set is server 1 alone; request 4 can still wait for 0
+        assert sw.set_active(1, False, 1.0) == []
+        assert r3.dropped and not r4.dropped and list(sw.stalled) == [4]
+        assert sw.dropped_requests == 1
+        r5 = make_req(5, locality=1)
+        assert sw.route_reqf(r5, 2.0) is None and r5.dropped
+        _, release = sw.note_rep(r1, 0, 0, final=True, now=3.0)
+        assert release == (r4, 0, []) and not sw.stalled
 
     def test_server_coming_up_takes_stalled_requests(self):
         sw = self.make()
